@@ -103,30 +103,9 @@ def _combine_prime_exponents(exps: dict[int, list[int]]) -> FinAbGroup:
     return FinAbGroup(tuple(factors))
 
 
-@dataclass(frozen=True)
-class GroupElem:
-    """Element of a finite abelian group as a residue tuple."""
-
-    group: FinAbGroup
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coords) != len(self.group.factors):
-            raise ValueError("coordinate count must match the number of factors")
-        for r, d in zip(self.coords, self.group.factors):
-            if not 0 <= r < d:
-                raise ValueError(f"residue {r} outside range of Z/{d}")
-
-    def __add__(self, other: GroupElem) -> GroupElem:
-        if self.group != other.group:
-            raise ValueError("elements of different groups")
-        coords = tuple((a + b) % d for a, b, d in zip(self.coords, other.coords, self.group.factors))
-        return GroupElem(self.group, coords)
-
-    def scale(self, n: int) -> GroupElem:
-        return GroupElem(
-            self.group, tuple((n * a) % d for a, d in zip(self.coords, self.group.factors))
-        )
+def _is_int_list(value: object) -> bool:
+    # bool is an int subclass and 2.0 == 2, but JSON true and 2.0 are not integer literals.
+    return isinstance(value, list) and all(type(v) is int for v in value)
 
 
 @dataclass(frozen=True)
@@ -168,10 +147,18 @@ class GroupHom:
     def from_json_dict(cls, data: dict) -> GroupHom:
         if not isinstance(data, dict) or set(data) != {"dom", "cod", "matrix"}:
             raise ValueError('hom literal needs exactly the keys "dom", "cod", "matrix"')
+        rows = data["matrix"]
+        if not (
+            _is_int_list(data["dom"])
+            and _is_int_list(data["cod"])
+            and isinstance(rows, list)
+            and all(_is_int_list(row) for row in rows)
+        ):
+            raise ValueError('hom literal needs lists of integers for "dom", "cod" and each row of "matrix"')
         return cls(
             FinAbGroup(tuple(data["dom"])),
             FinAbGroup(tuple(data["cod"])),
-            tuple(tuple(row) for row in data["matrix"]),
+            tuple(tuple(row) for row in rows),
         )
 
     def to_json_dict(self) -> dict:
@@ -387,9 +374,6 @@ class ElementTable:
 
     def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((x + y) % d for x, y, d in zip(a, b, self.group.factors))
-
-    def neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((-x) % d for x, d in zip(a, self.group.factors))
 
     def scale(self, n: int, a: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((n * x) % d for x, d in zip(a, self.group.factors))

@@ -1,16 +1,18 @@
 """The claim registry: every law of the deviation calculus, made executable.
 
-Each checker sweeps its slice of the universe in a fixed order and returns
-(verdict, witness, instances). Universal checkers refute with the first
-failing instance; existential ones stop at the first witness, so witnesses
-are minimal for the enumeration order. Direct definitional tests used as the
-second route of a cross-check are written out literally here rather than
-reusing library shortcuts.
+Each claim is a generator decorated with ``@claim``. It sweeps its slice of
+the universe in a fixed order and yields one item per instance: None when
+the instance passes, or the witness. The driver in ``verifier`` counts the
+items, stops at the first witness and turns the claim's kind into a
+verdict, so witnesses are minimal for the enumeration order. Direct
+definitional tests used as the second route of a cross-check are written
+out literally here rather than reusing library shortcuts.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from .abgroup import (
     devg1,
@@ -48,24 +50,15 @@ from .finset import (
     kernel_partition,
     partition_leq,
 )
-from .powerset import (
-    direct_image_map,
-    kappa,
-    preimage_map,
-    restrict_preimage_to_image,
-)
+from .powerset import direct_image_map, kappa, preimage_map, restrict_preimage_to_image
 from .verifier import (
     VERDICT_COUNTEREXAMPLE,
     VERDICT_REFUTED,
     VERDICT_SKIPPED,
-    VERDICT_VERIFIED,
-    CheckOutcome,
-    Claim,
     Universe,
-    check_rho_not_functor_counted,
+    claim,
     enumerate_mappings,
-    find_dev2_incomparability_counted,
-    mapping_witness,
+    mappings,
     size_pairs,
     size_triples,
 )
@@ -99,59 +92,58 @@ def _const_direct(f: Mapping) -> bool:
     return True
 
 
-def _pair_witness(nx: int, ny: int, f: Mapping, extra: dict | None = None) -> dict:
-    w = {"x_size": nx, "y_size": ny, "f": mapping_witness(f)}
-    if extra:
-        w.update(extra)
-    return w
+def _pair_witness(nx: int, ny: int, f: Mapping, **extra) -> dict:
+    return {"x_size": nx, "y_size": ny, "f": f.to_json_dict(), **extra}
+
+
+def _subsets(y: FiniteSet, family: int) -> list[list[int]]:
+    """The subsets of y whose bits are set in family, a bitmask over P(y)."""
+    return sorted(SubsetOf(y, b).to_list() for b in range(1 << y.size) if family >> b & 1)
+
+
+def _composite_witness(sizes: list[int], f: Mapping, g: Mapping) -> dict:
+    return {"sizes": sizes, "f": f.to_json_dict(), "g": g.to_json_dict()}
 
 
 # --- mappings, factorization, deviation order ------------------------------
 
 
-def check_factorization(u: Universe) -> CheckOutcome:
-    count = 0
+@claim("0.3", "every mapping factors as surjection, bijection, injection, recomposing to itself")
+def check_factorization(u: Universe):
+    for nx, ny, f in mappings(u.max_set_size):
+        fact = canonical_factorization(f)
+        ok = (
+            fact.proj.is_surjective()
+            and fact.mid.is_bijective()
+            and fact.incl.is_injective()
+            and fact.recompose().table == f.table
+        )
+        yield None if ok else _pair_witness(nx, ny, f)
+
+
+@claim("0.8-0.10", "classification flags read off the deviation agree with the direct definitions")
+def check_classification(u: Universe):
+    for nx, ny, f in mappings(u.max_set_size):
+        c = classify(f)
+        ok = (
+            c.injective == _inj_direct(f)
+            and c.surjective == _surj_direct(f)
+            and c.bijective == (_inj_direct(f) and _surj_direct(f))
+            and c.constant == _const_direct(f)
+        )
+        yield None if ok else _pair_witness(nx, ny, f, flags=list(c.flags()))
+
+
+@claim(
+    "1.3",
+    "kernel partitions sit between discrete and single-block, with equality "
+    "exactly for injective and constant mappings",
+)
+def check_kernel_bounds(u: Universe):
     for nx, ny in size_pairs(u.max_set_size):
-        x, y = FiniteSet(nx), FiniteSet(ny)
-        for f in enumerate_mappings(x, y):
-            count += 1
-            fact = canonical_factorization(f)
-            ok = (
-                fact.proj.is_surjective()
-                and fact.mid.is_bijective()
-                and fact.incl.is_injective()
-                and fact.recompose().table == f.table
-            )
-            if not ok:
-                return VERDICT_REFUTED, _pair_witness(nx, ny, f), count
-    return VERDICT_VERIFIED, None, count
-
-
-def check_classification(u: Universe) -> CheckOutcome:
-    count = 0
-    for nx, ny in size_pairs(u.max_set_size):
-        x, y = FiniteSet(nx), FiniteSet(ny)
-        for f in enumerate_mappings(x, y):
-            count += 1
-            c = classify(f)
-            ok = (
-                c.injective == _inj_direct(f)
-                and c.surjective == _surj_direct(f)
-                and c.bijective == (_inj_direct(f) and _surj_direct(f))
-                and c.constant == _const_direct(f)
-            )
-            if not ok:
-                return VERDICT_REFUTED, _pair_witness(nx, ny, f, {"flags": list(c.flags())}), count
-    return VERDICT_VERIFIED, None, count
-
-
-def check_kernel_bounds(u: Universe) -> CheckOutcome:
-    count = 0
-    for nx, ny in size_pairs(u.max_set_size):
-        x, y = FiniteSet(nx), FiniteSet(ny)
+        x = FiniteSet(nx)
         bottom, top = discrete(x), indiscrete(x)
-        for f in enumerate_mappings(x, y):
-            count += 1
+        for f in enumerate_mappings(x, FiniteSet(ny)):
             part = kernel_partition(f)
             ok = (
                 partition_leq(bottom, part)
@@ -159,165 +151,176 @@ def check_kernel_bounds(u: Universe) -> CheckOutcome:
                 and (part == bottom) == _inj_direct(f)
                 and (part == top) == _const_direct(f)
             )
-            if not ok:
-                return VERDICT_REFUTED, _pair_witness(nx, ny, f, {"kernel": part.to_lists()}), count
-    return VERDICT_VERIFIED, None, count
+            yield None if ok else _pair_witness(nx, ny, f, kernel=part.to_lists())
 
 
-def check_partition_order(u: Universe) -> CheckOutcome:
-    count = 0
+@claim(
+    "partition-order",
+    "refinement is reflexive, antisymmetric on canonical forms, and transitive",
+)
+def check_partition_order(u: Universe):
     for n in range(u.max_set_size + 1):
-        base = FiniteSet(n)
-        parts = list(all_partitions(base))
+        parts = list(all_partitions(FiniteSet(n)))
+        # One instance per partition; the pairs and triples yield only to refute.
         for p in parts:
-            count += 1
-            if not partition_leq(p, p):
-                return VERDICT_REFUTED, {"size": n, "p": p.to_lists()}, count
-        for p in parts:
-            for q in parts:
-                if partition_leq(p, q) and partition_leq(q, p) and p != q:
-                    return (
-                        VERDICT_REFUTED,
-                        {"size": n, "p": p.to_lists(), "q": q.to_lists()},
-                        count,
-                    )
-        for p in parts:
-            for q in parts:
-                if not partition_leq(p, q):
-                    continue
-                for r in parts:
-                    if partition_leq(q, r) and not partition_leq(p, r):
-                        return (
-                            VERDICT_REFUTED,
-                            {"size": n, "p": p.to_lists(), "q": q.to_lists(), "r": r.to_lists()},
-                            count,
-                        )
-    return VERDICT_VERIFIED, None, count
+            yield None if partition_leq(p, p) else {"size": n, "p": p.to_lists()}
+        for p, q in product(parts, repeat=2):
+            if partition_leq(p, q) and partition_leq(q, p) and p != q:
+                yield {"size": n, "p": p.to_lists(), "q": q.to_lists()}
+        for p, q in product(parts, repeat=2):
+            if not partition_leq(p, q):
+                continue
+            for r in parts:
+                if partition_leq(q, r) and not partition_leq(p, r):
+                    yield {"size": n, "p": p.to_lists(), "q": q.to_lists(), "r": r.to_lists()}
 
 
-def check_least_deviation(u: Universe) -> CheckOutcome:
-    count = 0
+@claim(
+    "L1.1",
+    "a mapping is bijective iff its deviation is (discrete, empty) and lies "
+    "below the deviation of every mapping with the same signature",
+)
+def check_least_deviation(u: Universe):
     for nx, ny in size_pairs(u.max_set_size):
-        x, y = FiniteSet(nx), FiniteSet(ny)
-        maps = list(enumerate_mappings(x, y))
+        x = FiniteSet(nx)
+        maps = list(enumerate_mappings(x, FiniteSet(ny)))
         parts = [kernel_partition(f) for f in maps]
         imgs = [image(f).bits for f in maps]
         distinct_parts = set(parts)
         distinct_imgs = set(imgs)
         bottom = discrete(x)
         full = (1 << ny) - 1
-        for i, f in enumerate(maps):
-            count += 1
+        for f, part, img in zip(maps, parts, imgs):
             bij = _inj_direct(f) and _surj_direct(f)
-            least = parts[i] == bottom and imgs[i] == full
-            if least:
-                least = all(partition_leq(parts[i], p) for p in distinct_parts) and all(
-                    other & ~imgs[i] == 0 for other in distinct_imgs
-                )
-            if bij != least:
-                return VERDICT_REFUTED, _pair_witness(nx, ny, f), count
-    return VERDICT_VERIFIED, None, count
+            least = (
+                part == bottom
+                and img == full
+                and all(partition_leq(part, p) for p in distinct_parts)
+                and all(other & ~img == 0 for other in distinct_imgs)
+            )
+            yield None if bij == least else _pair_witness(nx, ny, f)
 
 
-def check_dev1_monotone(u: Universe) -> CheckOutcome:
-    count = 0
+@claim(
+    "T1.1",
+    "the kernel partition of f refines the kernel partition of any composite g after f",
+)
+def check_dev1_monotone(u: Universe):
     for nx, ny, nz in size_triples(u.max_triple_size):
-        x, y, z = FiniteSet(nx), FiniteSet(ny), FiniteSet(nz)
-        fs = list(enumerate_mappings(x, y))
+        y = FiniteSet(ny)
+        fs = list(enumerate_mappings(FiniteSet(nx), y))
         parts_f = [kernel_partition(f) for f in fs]
         part_cache: dict[tuple[int, ...], object] = {}
-        for g in enumerate_mappings(y, z):
-            for i, f in enumerate(fs):
-                count += 1
+        for g in enumerate_mappings(y, FiniteSet(nz)):
+            for f, part_f in zip(fs, parts_f):
                 h = f.then(g)
-                hp = part_cache.get(h.table)
-                if hp is None:
-                    hp = kernel_partition(h)
-                    part_cache[h.table] = hp
-                if not partition_leq(parts_f[i], hp):
-                    return (
-                        VERDICT_REFUTED,
-                        {
-                            "sizes": [nx, ny, nz],
-                            "f": mapping_witness(f),
-                            "g": mapping_witness(g),
-                        },
-                        count,
-                    )
-    return VERDICT_VERIFIED, None, count
+                if h.table not in part_cache:
+                    part_cache[h.table] = kernel_partition(h)
+                ok = partition_leq(part_f, part_cache[h.table])
+                yield None if ok else _composite_witness([nx, ny, nz], f, g)
 
 
-def check_dev2_outer(u: Universe) -> CheckOutcome:
-    count = 0
+@claim(
+    "1.12",
+    "the missed set of the outer mapping is contained in the missed set of the composite",
+)
+def check_dev2_outer(u: Universe):
     for nx, ny, nz in size_triples(u.max_triple_size):
-        x, y, z = FiniteSet(nx), FiniteSet(ny), FiniteSet(nz)
-        fs = list(enumerate_mappings(x, y))
-        for g in enumerate_mappings(y, z):
+        y = FiniteSet(ny)
+        fs = list(enumerate_mappings(FiniteSet(nx), y))
+        for g in enumerate_mappings(y, FiniteSet(nz)):
             img_g = image(g).bits
             for f in fs:
-                count += 1
-                img_h = image(f.then(g)).bits
-                if img_h & ~img_g:
-                    return (
-                        VERDICT_REFUTED,
-                        {
-                            "sizes": [nx, ny, nz],
-                            "f": mapping_witness(f),
-                            "g": mapping_witness(g),
-                        },
-                        count,
-                    )
-    return VERDICT_VERIFIED, None, count
+                ok = image(f.then(g)).bits & ~img_g == 0
+                yield None if ok else _composite_witness([nx, ny, nz], f, g)
 
 
-def check_dev2_incomparable(u: Universe) -> CheckOutcome:
-    witness, scanned = find_dev2_incomparability_counted(u)
-    if witness is None:
-        return VERDICT_SKIPPED, None, scanned
-    return VERDICT_COUNTEREXAMPLE, witness, scanned
+@claim(
+    "T1.2-counterexample",
+    "missed sets of inner and outer mappings admit strict inclusions in both "
+    "directions, so no fixed comparison holds",
+    kind="existential",
+    expected=VERDICT_COUNTEREXAMPLE,
+)
+def check_dev2_incomparable(u: Universe):
+    first = second = None
+    for n in range(u.max_triple_size + 1):
+        maps = list(enumerate_mappings(FiniteSet(n), FiniteSet(n)))
+        devs = [image(f).complement().bits for f in maps]
+        for (f, df), (g, dg) in product(zip(maps, devs), repeat=2):
+            if first is None and df & ~dg == 0 and df != dg:
+                first = {"size": n, "f": f.to_json_dict(), "g": g.to_json_dict()}
+            if second is None and dg & ~df == 0 and df != dg:
+                second = {"size": n, "f": f.to_json_dict(), "g": g.to_json_dict()}
+            if first and second:
+                yield {"dev2_f_strictly_below_g": first, "dev2_g_strictly_below_f": second}
+            else:
+                yield None
 
 
-def check_rho_claim(u: Universe) -> CheckOutcome:
-    witness, scanned = check_rho_not_functor_counted(u)
-    if witness is None:
-        return VERDICT_SKIPPED, None, scanned
-    return VERDICT_COUNTEREXAMPLE, witness, scanned
+@claim(
+    "rho-not-functor",
+    "the induced-bijection assignment has no fixed object part: its domain "
+    "and codomain vary with the mapping",
+    kind="existential",
+    expected=VERDICT_COUNTEREXAMPLE,
+)
+def check_rho_not_functor(u: Universe):
+    for nx, ny in size_pairs(u.max_set_size):
+        maps = list(enumerate_mappings(FiniteSet(nx), FiniteSet(ny)))
+        for i, f in enumerate(maps):
+            part_f, img_f = kernel_partition(f), image(f)
+            for g in maps[i + 1 :]:
+                part_g, img_g = kernel_partition(g), image(g)
+                if part_f == part_g and img_f == img_g:
+                    yield None
+                    continue
+                yield {
+                    "x_size": nx,
+                    "y_size": ny,
+                    "f": f.to_json_dict(),
+                    "g": g.to_json_dict(),
+                    "kernel_f": part_f.to_lists(),
+                    "kernel_g": part_g.to_lists(),
+                    "image_f": img_f.to_list(),
+                    "image_g": img_g.to_list(),
+                }
 
 
 # --- group deviations -------------------------------------------------------
 
 
-def _hom_witness(f) -> dict:
-    return f.to_json_dict()
-
-
-def check_devg_oracle(u: Universe) -> CheckOutcome:
+@claim(
+    "devg-oracle",
+    "lattice/normal-form quotients equal element-table coset quotients for "
+    "both deviation components of every homomorphism",
+)
+def check_devg_oracle(u: Universe):
     bound = min(u.max_group_order, 16)
     groups = enumerate_groups(bound)
-    count = 0
-    for a in groups:
-        for b in groups:
-            for f in enumerate_homs(a, b, max_order=bound):
-                count += 1
-                if devg1(f) != devg1_oracle(f) or devg2(f) != devg2_oracle(f):
-                    return (
-                        VERDICT_REFUTED,
-                        {
-                            "hom": _hom_witness(f),
-                            "devg1": list(devg1(f).factors),
-                            "devg1_oracle": list(devg1_oracle(f).factors),
-                            "devg2": list(devg2(f).factors),
-                            "devg2_oracle": list(devg2_oracle(f).factors),
-                        },
-                        count,
-                    )
-    return VERDICT_VERIFIED, None, count
+    for a, b in product(groups, repeat=2):
+        for f in enumerate_homs(a, b, max_order=bound):
+            if devg1(f) == devg1_oracle(f) and devg2(f) == devg2_oracle(f):
+                yield None
+                continue
+            yield {
+                "hom": f.to_json_dict(),
+                "devg1": list(devg1(f).factors),
+                "devg1_oracle": list(devg1_oracle(f).factors),
+                "devg2": list(devg2(f).factors),
+                "devg2_oracle": list(devg2_oracle(f).factors),
+            }
 
 
-def check_group_lemma(u: Universe) -> CheckOutcome:
+@claim(
+    "L2.1",
+    "a homomorphism is an isomorphism iff its group deviation is (domain, trivial) "
+    "and lies below every other; surjective iff the second component is trivial; "
+    "injective iff the first is the whole domain",
+)
+def check_group_lemma(u: Universe):
     bound = min(u.max_group_order, 16)
     groups = enumerate_groups(bound)
-    count = 0
     for a in groups:
         ta = element_table(a)
         nonzero = [e for e in ta.elements if e != ta.zero()]
@@ -328,230 +331,193 @@ def check_group_lemma(u: Universe) -> CheckOutcome:
             distinct1 = set(d1s)
             distinct2 = set(d2s)
             zero_b = (0,) * len(b.factors)
-            for i, f in enumerate(homs):
-                count += 1
+            for f, d1, d2 in zip(homs, d1s, d2s):
                 inj = all(f.apply(e) != zero_b for e in nonzero)
                 surj = len({f.apply(e) for e in ta.elements}) == b.order()
-                if surj != d2s[i].is_trivial():
-                    return VERDICT_REFUTED, {"hom": _hom_witness(f), "case": "surjective"}, count
-                if inj != (d1s[i] == a):
-                    return VERDICT_REFUTED, {"hom": _hom_witness(f), "case": "injective"}, count
-                least = d1s[i] == a and d2s[i].is_trivial()
-                if least:
-                    least = all(embeds_in(other, d1s[i]) for other in distinct1) and all(
-                        embeds_in(d2s[i], other) for other in distinct2
-                    )
-                if (inj and surj) != least:
-                    return VERDICT_REFUTED, {"hom": _hom_witness(f), "case": "isomorphism"}, count
-    return VERDICT_VERIFIED, None, count
+                if surj != d2.is_trivial():
+                    yield {"hom": f.to_json_dict(), "case": "surjective"}
+                elif inj != (d1 == a):
+                    yield {"hom": f.to_json_dict(), "case": "injective"}
+                elif (inj and surj) != (
+                    d1 == a
+                    and d2.is_trivial()
+                    and all(embeds_in(other, d1) for other in distinct1)
+                    and all(embeds_in(d2, other) for other in distinct2)
+                ):
+                    yield {"hom": f.to_json_dict(), "case": "isomorphism"}
+                else:
+                    yield None
 
 
-def check_group_composition(u: Universe) -> CheckOutcome:
+@claim(
+    "T2.1",
+    "under composition the first deviation component of the composite embeds "
+    "in that of the inner map, and the second component of the outer map "
+    "embeds in that of the composite",
+)
+def check_group_composition(u: Universe):
     bound = min(u.max_group_order, 8)
     groups = enumerate_groups(bound)
-    count = 0
-    for a in groups:
-        for b in groups:
-            fs = list(enumerate_homs(a, b, max_order=bound))
-            fdevs = [devg1(f) for f in fs]
-            for c in groups:
-                for g in enumerate_homs(b, c, max_order=bound):
-                    d2g = devg2(g)
-                    for i, f in enumerate(fs):
-                        count += 1
-                        h = f.then(g)
-                        if not embeds_in(devg1(h), fdevs[i]):
-                            return (
-                                VERDICT_REFUTED,
-                                {"f": _hom_witness(f), "g": _hom_witness(g), "case": "first"},
-                                count,
-                            )
-                        if not embeds_in(d2g, devg2(h)):
-                            return (
-                                VERDICT_REFUTED,
-                                {"f": _hom_witness(f), "g": _hom_witness(g), "case": "second"},
-                                count,
-                            )
-    return VERDICT_VERIFIED, None, count
+    for a, b in product(groups, repeat=2):
+        fs = list(enumerate_homs(a, b, max_order=bound))
+        fdevs = [devg1(f) for f in fs]
+        for c in groups:
+            for g in enumerate_homs(b, c, max_order=bound):
+                d2g = devg2(g)
+                for f, d1f in zip(fs, fdevs):
+                    h = f.then(g)
+                    if not embeds_in(devg1(h), d1f):
+                        yield {"f": f.to_json_dict(), "g": g.to_json_dict(), "case": "first"}
+                    elif not embeds_in(d2g, devg2(h)):
+                        yield {"f": f.to_json_dict(), "g": g.to_json_dict(), "case": "second"}
+                    else:
+                        yield None
 
 
-def check_devg2_incomparable(u: Universe) -> CheckOutcome:
+@claim(
+    "T2.1-counterexample",
+    "second components of inner and outer homomorphisms admit strict "
+    "embeddings in both directions, so no fixed comparison holds",
+    kind="existential",
+    expected=VERDICT_COUNTEREXAMPLE,
+)
+def check_devg2_incomparable(u: Universe):
     bound = min(u.max_group_order, 8)
-    first = None
-    second = None
-    count = 0
+    first = second = None
     for x in enumerate_groups(bound):
         homs = list(enumerate_homs(x, x, max_order=bound))
         for f in homs:
             d2f = devg2(f)
             for g in homs:
-                count += 1
                 d2g = devg2(g)
                 if first is None and d2f != d2g and embeds_in(d2f, d2g):
-                    first = {"group": list(x.factors), "f": _hom_witness(f), "g": _hom_witness(g)}
+                    first = {"group": list(x.factors), "f": f.to_json_dict(), "g": g.to_json_dict()}
                 if second is None and d2f != d2g and embeds_in(d2g, d2f):
-                    second = {"group": list(x.factors), "f": _hom_witness(f), "g": _hom_witness(g)}
+                    second = {"group": list(x.factors), "f": f.to_json_dict(), "g": g.to_json_dict()}
                 if first and second:
-                    return (
-                        VERDICT_COUNTEREXAMPLE,
-                        {
-                            "devg2_f_strictly_below_g": first,
-                            "devg2_g_strictly_below_f": second,
-                        },
-                        count,
-                    )
-    return VERDICT_SKIPPED, None, count
+                    yield {"devg2_f_strictly_below_g": first, "devg2_g_strictly_below_f": second}
+                else:
+                    yield None
 
 
-def check_embeds_oracle(u: Universe) -> CheckOutcome:
-    bound = min(u.max_group_order, 64)
-    groups = enumerate_groups(bound)
-    count = 0
-    for a in groups:
-        for b in groups:
-            count += 1
-            if embeds_in(a, b) != embeds_in_oracle(a, b):
-                return (
-                    VERDICT_REFUTED,
-                    {
-                        "a": list(a.factors),
-                        "b": list(b.factors),
-                        "fast": embeds_in(a, b),
-                        "oracle": embeds_in_oracle(a, b),
-                    },
-                    count,
-                )
-    return VERDICT_VERIFIED, None, count
+@claim(
+    "embeds-oracle",
+    "the conjugate-partition embedding criterion agrees with an exhaustive "
+    "injective-homomorphism search",
+)
+def check_embeds_oracle(u: Universe):
+    groups = enumerate_groups(min(u.max_group_order, 64))
+    for a, b in product(groups, repeat=2):
+        fast, oracle = embeds_in(a, b), embeds_in_oracle(a, b)
+        if fast == oracle:
+            yield None
+        else:
+            yield {"a": list(a.factors), "b": list(b.factors), "fast": fast, "oracle": oracle}
 
 
 # --- powerset maps ----------------------------------------------------------
 
 
-def _powerset_pairs(u: Universe, cap: int | None = None):
-    bound = u.max_powerset_base if cap is None else min(u.max_powerset_base, cap)
-    yield from size_pairs(bound)
+@claim("3.18", "the subset extension sends exactly the empty set to the empty set")
+def check_tilde_empty(u: Universe):
+    for nx, ny, f in mappings(u.max_powerset_base):
+        for a, fa in enumerate(direct_image_map(f).table):
+            ok = (fa == 0) == (a == 0)
+            yield None if ok else _pair_witness(nx, ny, f, subset=SubsetOf(f.dom, a).to_list())
 
 
-def check_tilde_empty(u: Universe) -> CheckOutcome:
-    count = 0
-    for nx, ny in _powerset_pairs(u):
-        x, y = FiniteSet(nx), FiniteSet(ny)
-        for f in enumerate_mappings(x, y):
-            tilde = direct_image_map(f)
-            for a, fa in enumerate(tilde.table):
-                count += 1
-                if (fa == 0) != (a == 0):
-                    return (
-                        VERDICT_REFUTED,
-                        _pair_witness(nx, ny, f, {"subset": SubsetOf(x, a).to_list()}),
-                        count,
-                    )
-    return VERDICT_VERIFIED, None, count
+@claim("L3.1", "a mapping and its subset extension are injective, surjective, bijective together")
+def check_tilde_lemma(u: Universe):
+    for nx, ny, f in mappings(u.max_powerset_base):
+        tilde = direct_image_map(f)
+        ok = (
+            (_inj_direct(f) == tilde.is_injective())
+            and (_surj_direct(f) == tilde.is_surjective())
+            and ((_inj_direct(f) and _surj_direct(f)) == tilde.is_bijective())
+        )
+        yield None if ok else _pair_witness(nx, ny, f)
 
 
-def check_tilde_lemma(u: Universe) -> CheckOutcome:
-    count = 0
-    for nx, ny in _powerset_pairs(u):
-        x, y = FiniteSet(nx), FiniteSet(ny)
-        for f in enumerate_mappings(x, y):
-            count += 1
-            tilde = direct_image_map(f)
-            ok = (
-                (_inj_direct(f) == tilde.is_injective())
-                and (_surj_direct(f) == tilde.is_surjective())
-                and ((_inj_direct(f) and _surj_direct(f)) == tilde.is_bijective())
-            )
-            if not ok:
-                return VERDICT_REFUTED, _pair_witness(nx, ny, f), count
-    return VERDICT_VERIFIED, None, count
+@claim(
+    "L3.2",
+    "the preimage map is surjective iff the mapping is injective, injective "
+    "iff it is surjective, and its restriction to subsets of the image is "
+    "always injective",
+)
+def check_preimage_lemma(u: Universe):
+    for nx, ny, f in mappings(u.max_powerset_base):
+        pre = preimage_map(f)
+        restricted = restrict_preimage_to_image(f)
+        ok = (
+            (pre.is_surjective() == _inj_direct(f))
+            and restricted.is_injective()
+            and (pre.is_injective() == _surj_direct(f))
+            and (pre.is_bijective() == (_inj_direct(f) and _surj_direct(f)))
+        )
+        yield None if ok else _pair_witness(nx, ny, f)
 
 
-def check_preimage_lemma(u: Universe) -> CheckOutcome:
-    count = 0
-    for nx, ny in _powerset_pairs(u):
-        x, y = FiniteSet(nx), FiniteSet(ny)
-        for f in enumerate_mappings(x, y):
-            count += 1
-            pre = preimage_map(f)
-            restricted = restrict_preimage_to_image(f)
-            ok = (
-                (pre.is_surjective() == _inj_direct(f))
-                and restricted.is_injective()
-                and (pre.is_injective() == _surj_direct(f))
-                and (pre.is_bijective() == (_inj_direct(f) and _surj_direct(f)))
-            )
-            if not ok:
-                return VERDICT_REFUTED, _pair_witness(nx, ny, f), count
-    return VERDICT_VERIFIED, None, count
+@claim(
+    "3.29-3.30",
+    "every subset sits inside the preimage of its image, with equality for "
+    "all subsets exactly when the mapping is injective; taking images "
+    "retracts preimages on subsets of the image",
+)
+def check_galois_identities(u: Universe):
+    for nx, ny, f in mappings(u.max_powerset_base):
+        tilde = direct_image_map(f)
+        pre = preimage_map(f)
+        img = image(f).bits
+        expand_ok = all(a & ~pre.table[tilde.table[a]] == 0 for a in range(1 << nx))
+        equal_all = all(pre.table[tilde.table[a]] == a for a in range(1 << nx))
+        collapse_ok = all(
+            tilde.table[pre.table[v]] == v for v in range(1 << ny) if v & ~img == 0
+        )
+        ok = expand_ok and collapse_ok and (equal_all == _inj_direct(f))
+        yield None if ok else _pair_witness(nx, ny, f)
 
 
-def check_galois_identities(u: Universe) -> CheckOutcome:
-    count = 0
-    for nx, ny in _powerset_pairs(u):
-        x, y = FiniteSet(nx), FiniteSet(ny)
-        for f in enumerate_mappings(x, y):
-            count += 1
-            tilde = direct_image_map(f)
-            pre = preimage_map(f)
-            img = image(f).bits
-            expand_ok = all(a & ~pre.table[tilde.table[a]] == 0 for a in range(1 << nx))
-            equal_all = all(pre.table[tilde.table[a]] == a for a in range(1 << nx))
-            collapse_ok = all(
-                tilde.table[pre.table[v]] == v for v in range(1 << ny) if v & ~img == 0
-            )
-            ok = expand_ok and collapse_ok and (equal_all == _inj_direct(f))
-            if not ok:
-                return VERDICT_REFUTED, _pair_witness(nx, ny, f), count
-    return VERDICT_VERIFIED, None, count
+@claim(
+    "L3.3a",
+    "subsets of the image enumerate the kernel classes of the preimage map "
+    "bijectively, and that kernel is discrete exactly for surjective mappings",
+)
+def check_kappa_lemma(u: Universe):
+    for nx, ny, f in mappings(u.max_powerset_base):
+        pre = preimage_map(f)
+        ka = kappa(f)
+        bijection = ka.is_injective() and ka.is_surjective()
+        discrete_on_py = kernel_partition(pre) == discrete(pre.dom)
+        ok = bijection and discrete_on_py == _surj_direct(f)
+        yield None if ok else _pair_witness(nx, ny, f)
 
 
-def check_kappa_lemma(u: Universe) -> CheckOutcome:
-    count = 0
-    for nx, ny in _powerset_pairs(u):
-        x, y = FiniteSet(nx), FiniteSet(ny)
-        for f in enumerate_mappings(x, y):
-            count += 1
-            pre = preimage_map(f)
-            part = kernel_partition(pre)
-            ka = kappa(f)
-            bijection = ka.is_injective() and ka.is_surjective()
-            discrete_on_py = part == discrete(pre.dom)
-            if not bijection or discrete_on_py != _surj_direct(f):
-                return VERDICT_REFUTED, _pair_witness(nx, ny, f), count
-    return VERDICT_VERIFIED, None, count
-
-
-def check_preimage_deviation_lemma(u: Universe) -> CheckOutcome:
-    count = 0
-    for nx, ny in _powerset_pairs(u):
-        x, y = FiniteSet(nx), FiniteSet(ny)
-        for f in enumerate_mappings(x, y):
-            count += 1
-            pre = preimage_map(f)
-            dev = deviation(pre)
-            ka = kappa(f)
-            kappa_bijection = ka.is_injective() and ka.is_surjective()
-            injective_form = dev.missed.bits == 0 and kappa_bijection
-            surjective_form = dev.part == discrete(pre.dom)
-            bijective_form = surjective_form and dev.missed.bits == 0
-            ok = (
-                injective_form == _inj_direct(f)
-                and surjective_form == _surj_direct(f)
-                and bijective_form == (_inj_direct(f) and _surj_direct(f))
-            )
-            if not ok:
-                return VERDICT_REFUTED, _pair_witness(nx, ny, f), count
-    return VERDICT_VERIFIED, None, count
+@claim(
+    "L3.3b",
+    "the deviation of the preimage map characterizes injectivity, "
+    "surjectivity, and bijectivity of the original mapping",
+)
+def check_preimage_deviation_lemma(u: Universe):
+    for nx, ny, f in mappings(u.max_powerset_base):
+        pre = preimage_map(f)
+        dev = deviation(pre)
+        ka = kappa(f)
+        kappa_bijection = ka.is_injective() and ka.is_surjective()
+        injective_form = dev.missed.bits == 0 and kappa_bijection
+        surjective_form = dev.part == discrete(pre.dom)
+        bijective_form = surjective_form and dev.missed.bits == 0
+        ok = (
+            injective_form == _inj_direct(f)
+            and surjective_form == _surj_direct(f)
+            and bijective_form == (_inj_direct(f) and _surj_direct(f))
+        )
+        yield None if ok else _pair_witness(nx, ny, f)
 
 
 def _tilde_missed_expected(f: Mapping) -> int:
     # Bitmask over P(cod): subsets not contained in the image.
     img = image(f).bits
-    bits = 0
-    for b in range(1 << f.cod.size):
-        if b & ~img:
-            bits |= 1 << b
-    return bits
+    return sum(1 << b for b in range(1 << f.cod.size) if b & ~img)
 
 
 def _missed_mask(g: Mapping) -> int:
@@ -561,71 +527,69 @@ def _missed_mask(g: Mapping) -> int:
     return ~hit & ((1 << g.cod.size) - 1)
 
 
-def check_theorem_injective(u: Universe) -> CheckOutcome:
-    count = 0
-    for nx, ny in _powerset_pairs(u, cap=3):
-        x, y = FiniteSet(nx), FiniteSet(ny)
-        for f in enumerate_mappings(x, y):
-            count += 1
-            tilde = direct_image_map(f)
-            pre = preimage_map(f)
-            items = (
-                _inj_direct(f),
-                tilde.is_injective(),
-                pre.is_surjective(),
-                kernel_partition(f) == discrete(x),
-                kernel_partition(tilde) == discrete(tilde.dom)
-                and _missed_mask(tilde) == _tilde_missed_expected(f),
-                deviation(pre).missed.bits == 0,
-            )
-            if len(set(items)) > 1:
-                return VERDICT_REFUTED, _pair_witness(nx, ny, f, {"items": list(items)}), count
-    return VERDICT_VERIFIED, None, count
+@claim(
+    "T3.1",
+    "six characterizations of injectivity coincide: the mapping, its subset "
+    "extension, preimage surjectivity, and the three deviation shapes "
+    "(with the extension's missed set in computed form)",
+)
+def check_theorem_injective(u: Universe):
+    for nx, ny, f in mappings(min(u.max_powerset_base, 3)):
+        tilde = direct_image_map(f)
+        pre = preimage_map(f)
+        items = (
+            _inj_direct(f),
+            tilde.is_injective(),
+            pre.is_surjective(),
+            kernel_partition(f) == discrete(f.dom),
+            kernel_partition(tilde) == discrete(tilde.dom)
+            and _missed_mask(tilde) == _tilde_missed_expected(f),
+            deviation(pre).missed.bits == 0,
+        )
+        yield None if len(set(items)) == 1 else _pair_witness(nx, ny, f, items=list(items))
 
 
-def check_theorem_surjective(u: Universe) -> CheckOutcome:
-    count = 0
-    for nx, ny in _powerset_pairs(u, cap=3):
-        x, y = FiniteSet(nx), FiniteSet(ny)
-        for f in enumerate_mappings(x, y):
-            count += 1
-            tilde = direct_image_map(f)
-            pre = preimage_map(f)
-            items = (
-                _surj_direct(f),
-                tilde.is_surjective(),
-                pre.is_injective(),
-                image(f).complement().bits == 0,
-                _missed_mask(tilde) == 0,
-                kernel_partition(pre) == discrete(pre.dom),
-            )
-            if len(set(items)) > 1:
-                return VERDICT_REFUTED, _pair_witness(nx, ny, f, {"items": list(items)}), count
-    return VERDICT_VERIFIED, None, count
+@claim("T3.2", "six characterizations of surjectivity coincide")
+def check_theorem_surjective(u: Universe):
+    for nx, ny, f in mappings(min(u.max_powerset_base, 3)):
+        tilde = direct_image_map(f)
+        pre = preimage_map(f)
+        items = (
+            _surj_direct(f),
+            tilde.is_surjective(),
+            pre.is_injective(),
+            image(f).complement().bits == 0,
+            _missed_mask(tilde) == 0,
+            kernel_partition(pre) == discrete(pre.dom),
+        )
+        yield None if len(set(items)) == 1 else _pair_witness(nx, ny, f, items=list(items))
 
 
-def check_theorem_bijective(u: Universe) -> CheckOutcome:
-    count = 0
-    for nx, ny in _powerset_pairs(u, cap=3):
-        x, y = FiniteSet(nx), FiniteSet(ny)
-        for f in enumerate_mappings(x, y):
-            count += 1
-            tilde = direct_image_map(f)
-            pre = preimage_map(f)
-            items = (
-                _inj_direct(f) and _surj_direct(f),
-                tilde.is_bijective(),
-                pre.is_bijective(),
-                kernel_partition(f) == discrete(x) and image(f).complement().bits == 0,
-                kernel_partition(tilde) == discrete(tilde.dom) and _missed_mask(tilde) == 0,
-                kernel_partition(pre) == discrete(pre.dom) and _missed_mask(pre) == 0,
-            )
-            if len(set(items)) > 1:
-                return VERDICT_REFUTED, _pair_witness(nx, ny, f, {"items": list(items)}), count
-    return VERDICT_VERIFIED, None, count
+@claim("T3.3", "six characterizations of bijectivity coincide")
+def check_theorem_bijective(u: Universe):
+    for nx, ny, f in mappings(min(u.max_powerset_base, 3)):
+        tilde = direct_image_map(f)
+        pre = preimage_map(f)
+        items = (
+            _inj_direct(f) and _surj_direct(f),
+            tilde.is_bijective(),
+            pre.is_bijective(),
+            kernel_partition(f) == discrete(f.dom) and image(f).complement().bits == 0,
+            kernel_partition(tilde) == discrete(tilde.dom) and _missed_mask(tilde) == 0,
+            kernel_partition(pre) == discrete(pre.dom) and _missed_mask(pre) == 0,
+        )
+        yield None if len(set(items)) == 1 else _pair_witness(nx, ny, f, items=list(items))
 
 
-def check_tilde_deviation_literal(u: Universe) -> CheckOutcome:
+@claim(
+    "3.44-literal",
+    "missed subsets of the extension of an injective mapping form the "
+    "powerset of the complement of the image (literal reading, empty set "
+    "aside); refuted, since subsets straddling image and complement are missed too",
+    kind="report-only",
+    expected=VERDICT_REFUTED,
+)
+def check_tilde_deviation_literal(u: Universe):
     """Literal missed-set shape for the subset extension of an injective map.
 
     The claimed missed set is the family of nonempty subsets drawn from the
@@ -634,97 +598,73 @@ def check_tilde_deviation_literal(u: Universe) -> CheckOutcome:
     both nonempty, since any subset straddling the two is missed but not
     claimed.
     """
-    count = 0
-    for nx, ny in _powerset_pairs(u, cap=3):
-        x, y = FiniteSet(nx), FiniteSet(ny)
-        for f in enumerate_mappings(x, y):
-            count += 1
-            tilde = direct_image_map(f)
-            comp = image(f).complement().bits
-            claimed = 0
-            for b in range(1, 1 << ny):
-                if b & ~comp == 0:
-                    claimed |= 1 << b
-            literal_holds = (
-                kernel_partition(tilde) == discrete(tilde.dom)
-                and _missed_mask(tilde) == claimed
-            )
-            if literal_holds != _inj_direct(f):
-                return (
-                    VERDICT_REFUTED,
-                    _pair_witness(
-                        nx,
-                        ny,
-                        f,
-                        {
-                            "missed_computed": sorted(
-                                SubsetOf(y, b).to_list()
-                                for b in range(1 << ny)
-                                if _missed_mask(tilde) >> b & 1
-                            ),
-                            "missed_claimed": sorted(
-                                SubsetOf(y, b).to_list()
-                                for b in range(1 << ny)
-                                if claimed >> b & 1
-                            ),
-                        },
-                    ),
-                    count,
-                )
-    return VERDICT_VERIFIED, None, count
+    for nx, ny, f in mappings(min(u.max_powerset_base, 3)):
+        tilde = direct_image_map(f)
+        comp = image(f).complement().bits
+        claimed = sum(1 << b for b in range(1, 1 << ny) if b & ~comp == 0)
+        missed = _missed_mask(tilde)
+        literal_holds = kernel_partition(tilde) == discrete(tilde.dom) and missed == claimed
+        if literal_holds == _inj_direct(f):
+            yield None
+            continue
+        yield _pair_witness(
+            nx,
+            ny,
+            f,
+            missed_computed=_subsets(f.cod, missed),
+            missed_claimed=_subsets(f.cod, claimed),
+        )
 
 
-def check_tilde_deviation_computed(u: Universe) -> CheckOutcome:
-    count = 0
-    for nx, ny in _powerset_pairs(u, cap=3):
-        x, y = FiniteSet(nx), FiniteSet(ny)
-        for f in enumerate_mappings(x, y):
-            if not _inj_direct(f):
-                continue
-            count += 1
-            tilde = direct_image_map(f)
-            if _missed_mask(tilde) != _tilde_missed_expected(f):
-                return VERDICT_REFUTED, _pair_witness(nx, ny, f), count
-    return VERDICT_VERIFIED, None, count
+@claim(
+    "3.44-computed",
+    "for injective mappings the extension misses exactly the subsets not "
+    "contained in the image",
+)
+def check_tilde_deviation_computed(u: Universe):
+    for nx, ny, f in mappings(min(u.max_powerset_base, 3)):
+        if _inj_direct(f):
+            ok = _missed_mask(direct_image_map(f)) == _tilde_missed_expected(f)
+            yield None if ok else _pair_witness(nx, ny, f)
 
 
-def check_composition_identities(u: Universe) -> CheckOutcome:
-    count = 0
-    for nx, ny in _powerset_pairs(u):
-        x, y = FiniteSet(nx), FiniteSet(ny)
-        for f in enumerate_mappings(x, y):
-            count += 1
-            tilde = direct_image_map(f)
-            pre = preimage_map(f)
-            restricted = restrict_preimage_to_image(f)
-            img = image(f).elements()
-            ok = restricted.is_injective()
-            if ok and _inj_direct(f):
-                ok = all(pre.table[tilde.table[a]] == a for a in range(1 << nx))
-            if ok:
-                for v in range(1 << len(img)):
-                    ybits = 0
-                    for j, yy in enumerate(img):
-                        if v >> j & 1:
-                            ybits |= 1 << yy
-                    if tilde.table[restricted.table[v]] != ybits:
-                        ok = False
-                        break
-            if ok and _surj_direct(f):
-                ok = all(tilde.table[pre.table[v]] == v for v in range(1 << ny))
-            if not ok:
-                return VERDICT_REFUTED, _pair_witness(nx, ny, f), count
-    return VERDICT_VERIFIED, None, count
+def _composition_identities_hold(f: Mapping) -> bool:
+    tilde = direct_image_map(f)
+    pre = preimage_map(f)
+    restricted = restrict_preimage_to_image(f)
+    if not restricted.is_injective():
+        return False
+    if _inj_direct(f) and any(pre.table[tilde.table[a]] != a for a in range(1 << f.dom.size)):
+        return False
+    img = image(f).elements()
+    for v in range(1 << len(img)):
+        ybits = 0
+        for j, yy in enumerate(img):
+            if v >> j & 1:
+                ybits |= 1 << yy
+        if tilde.table[restricted.table[v]] != ybits:
+            return False
+    return not _surj_direct(f) or all(
+        tilde.table[pre.table[v]] == v for v in range(1 << f.cod.size)
+    )
+
+
+@claim(
+    "3.58-3.61",
+    "preimage after extension is the identity for injective mappings, "
+    "extension after restricted preimage is the inclusion of image subsets, "
+    "extension after preimage is the identity for surjective mappings, and "
+    "the restricted preimage is injective",
+)
+def check_composition_identities(u: Universe):
+    for nx, ny, f in mappings(u.max_powerset_base):
+        yield None if _composition_identities_hold(f) else _pair_witness(nx, ny, f)
 
 
 # --- chu spaces --------------------------------------------------------------
 
 
-def _chu_bound(u: Universe) -> int:
-    return min(u.max_powerset_base, 3)
-
-
-def _random_chu_pool(u: Universe) -> list[ChuSpace]:
+def _random_chu_pool() -> list[ChuSpace]:
     rng = random.Random(99173)
     shapes = [(1, 1, 2), (1, 2, 2), (2, 1, 2), (2, 2, 2), (2, 2, 2), (2, 2, 3)]
     pool = []
@@ -748,157 +688,120 @@ def _valid_morphisms(src: ChuSpace, dst: ChuSpace, limit: int) -> list[ChuMorphi
     return found
 
 
-def check_chu_category_laws(u: Universe) -> CheckOutcome:
-    bound = _chu_bound(u)
-    count = 0
-    spaces = [e_space(FiniteSet(n)) for n in range(bound + 1)]
-    spaces.extend(_random_chu_pool(u))
-    for sp in spaces:
-        count += 1
-        if not morphism_is_valid(identity_morphism(sp), sp, sp):
-            return VERDICT_REFUTED, {"space": sp.to_json_dict()}, count
+@claim(
+    "chu-category-laws",
+    "identities are valid and neutral, composites of valid morphisms are "
+    "valid, and composition is associative",
+)
+def check_chu_category_laws(u: Universe):
+    bound = min(u.max_powerset_base, 3)
+    pool = _random_chu_pool()
+    for sp in [e_space(FiniteSet(n)) for n in range(bound + 1)] + pool:
+        valid_identity = morphism_is_valid(identity_morphism(sp), sp, sp)
+        yield None if valid_identity else {"space": sp.to_json_dict()}
 
     # Associativity and closure along embedded chains.
     chain_bound = min(bound, 2)
     for nw, nx in size_pairs(chain_bound):
-        for ny in range(chain_bound + 1):
-            for nz in range(chain_bound + 1):
-                w, x = FiniteSet(nw), FiniteSet(nx)
-                y, z = FiniteSet(ny), FiniteSet(nz)
-                ew, ez = e_space(w), e_space(z)
-                for f in enumerate_mappings(w, x):
-                    ef = embed(f)
-                    for g in enumerate_mappings(x, y):
-                        fg = compose(ef, embed(g))
-                        for h in enumerate_mappings(y, z):
-                            count += 1
-                            eh = embed(h)
-                            left = compose(fg, eh)
-                            right = compose(ef, compose(embed(g), eh))
-                            if left != right or not morphism_is_valid(left, ew, ez):
-                                return (
-                                    VERDICT_REFUTED,
-                                    {
-                                        "case": "embedded-chain",
-                                        "sizes": [nw, nx, ny, nz],
-                                        "f": mapping_witness(f),
-                                        "g": mapping_witness(g),
-                                        "h": mapping_witness(h),
-                                    },
-                                    count,
-                                )
+        for ny, nz in product(range(chain_bound + 1), repeat=2):
+            w, x = FiniteSet(nw), FiniteSet(nx)
+            y, z = FiniteSet(ny), FiniteSet(nz)
+            ew, ez = e_space(w), e_space(z)
+            for f in enumerate_mappings(w, x):
+                ef = embed(f)
+                for g in enumerate_mappings(x, y):
+                    fg = compose(ef, embed(g))
+                    for h in enumerate_mappings(y, z):
+                        eh = embed(h)
+                        left = compose(fg, eh)
+                        right = compose(ef, compose(embed(g), eh))
+                        if left == right and morphism_is_valid(left, ew, ez):
+                            yield None
+                            continue
+                        yield {
+                            "case": "embedded-chain",
+                            "sizes": [nw, nx, ny, nz],
+                            "f": f.to_json_dict(),
+                            "g": g.to_json_dict(),
+                            "h": h.to_json_dict(),
+                        }
 
     # Composition preserves validity and identities are neutral, on the
     # deterministic pool (at most six morphisms per space pair).
-    pool = _random_chu_pool(u)
-    valid: dict[tuple[int, int], list[ChuMorphism]] = {}
-    for i, a in enumerate(pool):
-        for j, b in enumerate(pool):
-            valid[i, j] = _valid_morphisms(a, b, limit=6)
-    for i, a in enumerate(pool):
-        for j, b in enumerate(pool):
-            for m in valid[i, j]:
-                count += 1
-                if compose(identity_morphism(a), m) != m or compose(m, identity_morphism(b)) != m:
-                    return VERDICT_REFUTED, {"case": "identity-neutrality"}, count
-            for k, c in enumerate(pool):
-                for m in valid[i, j]:
-                    for n in valid[j, k]:
-                        count += 1
-                        if not morphism_is_valid(compose(m, n), a, c):
-                            return (
-                                VERDICT_REFUTED,
-                                {"case": "closure", "spaces": [i, j, k]},
-                                count,
-                            )
-    for i, a in enumerate(pool):
-        for j, b in enumerate(pool):
-            for k, c in enumerate(pool):
-                for l, d in enumerate(pool):
-                    for m in valid[i, j]:
-                        for n in valid[j, k]:
-                            for p in valid[k, l]:
-                                count += 1
-                                if compose(compose(m, n), p) != compose(m, compose(n, p)):
-                                    return (
-                                        VERDICT_REFUTED,
-                                        {"case": "associativity", "spaces": [i, j, k, l]},
-                                        count,
-                                    )
-    return VERDICT_VERIFIED, None, count
+    indices = range(len(pool))
+    valid = {
+        (i, j): _valid_morphisms(pool[i], pool[j], limit=6)
+        for i, j in product(indices, repeat=2)
+    }
+    for i, j in product(indices, repeat=2):
+        for m in valid[i, j]:
+            ok = compose(identity_morphism(pool[i]), m) == m == compose(m, identity_morphism(pool[j]))
+            yield None if ok else {"case": "identity-neutrality"}
+        for k in indices:
+            for m, n in product(valid[i, j], valid[j, k]):
+                ok = morphism_is_valid(compose(m, n), pool[i], pool[k])
+                yield None if ok else {"case": "closure", "spaces": [i, j, k]}
+    for i, j, k, l in product(indices, repeat=4):
+        for m, n, p in product(valid[i, j], valid[j, k], valid[k, l]):
+            ok = compose(compose(m, n), p) == compose(m, compose(n, p))
+            yield None if ok else {"case": "associativity", "spaces": [i, j, k, l]}
 
 
-def check_embedding_functorial(u: Universe) -> CheckOutcome:
-    bound = _chu_bound(u)
-    count = 0
-    for nx, ny, nz in size_triples(bound):
-        x, y, z = FiniteSet(nx), FiniteSet(ny), FiniteSet(nz)
-        for f in enumerate_mappings(x, y):
+@claim("E-functoriality", "embedding a composite equals composing the embeddings")
+def check_embedding_functorial(u: Universe):
+    for nx, ny, nz in size_triples(min(u.max_powerset_base, 3)):
+        y = FiniteSet(ny)
+        for f in enumerate_mappings(FiniteSet(nx), y):
             ef = embed(f)
-            for g in enumerate_mappings(y, z):
-                count += 1
-                if embed(f.then(g)) != compose(ef, embed(g)):
-                    return (
-                        VERDICT_REFUTED,
-                        {"sizes": [nx, ny, nz], "f": mapping_witness(f), "g": mapping_witness(g)},
-                        count,
-                    )
-    return VERDICT_VERIFIED, None, count
+            for g in enumerate_mappings(y, FiniteSet(nz)):
+                ok = embed(f.then(g)) == compose(ef, embed(g))
+                yield None if ok else _composite_witness([nx, ny, nz], f, g)
 
 
-def check_embedding_faithful(u: Universe) -> CheckOutcome:
-    bound = _chu_bound(u)
-    count = 0
-    for nx, ny in size_pairs(bound):
-        x, y = FiniteSet(nx), FiniteSet(ny)
-        maps = list(enumerate_mappings(x, y))
-        seen: dict[ChuMorphism, Mapping] = {}
-        for f in maps:
-            count += 1
-            m = embed(f)
-            if m in seen:
-                return (
-                    VERDICT_REFUTED,
-                    {"x_size": nx, "y_size": ny, "f": mapping_witness(seen[m]), "g": mapping_witness(f)},
-                    count,
-                )
+@claim("E-faithfulness", "distinct mappings embed to distinct morphisms")
+def check_embedding_faithful(u: Universe):
+    # Equal morphisms have equal carriers, so one table serves every signature.
+    seen: dict[ChuMorphism, Mapping] = {}
+    for nx, ny, f in mappings(min(u.max_powerset_base, 3)):
+        m = embed(f)
+        if m in seen:
+            yield {"x_size": nx, "y_size": ny, "f": seen[m].to_json_dict(), "g": f.to_json_dict()}
+        else:
             seen[m] = f
-    return VERDICT_VERIFIED, None, count
+            yield None
 
 
-def check_embedding_full(u: Universe) -> CheckOutcome:
-    bound = _chu_bound(u)
-    count = 0
-    for nx, ny in size_pairs(bound):
+@claim(
+    "E-fullness",
+    "between evaluation spaces every valid morphism has the forced backward "
+    "component and hence is an embedded mapping",
+)
+def check_embedding_full(u: Universe):
+    for nx, ny in size_pairs(min(u.max_powerset_base, 3)):
         x, y = FiniteSet(nx), FiniteSet(ny)
         ex, ey = e_space(x), e_space(y)
         # A state is recoverable from its column, so validity pins the
         # backward image of every state pointwise.
         columns = {tuple(ex.matrix[p][a] for p in range(nx)) for a in range(ex.states.size)}
         if len(columns) != ex.states.size:
-            return VERDICT_REFUTED, {"x_size": nx, "case": "states-not-separated"}, count
+            yield {"x_size": nx, "case": "states-not-separated"}
         for f in enumerate_mappings(x, y):
-            count += 1
-            forced = forced_backward(f)
-            m = ChuMorphism(f, forced)
-            if not morphism_is_valid(m, ex, ey) or m != embed(f):
-                return VERDICT_REFUTED, _pair_witness(nx, ny, f), count
-    return VERDICT_VERIFIED, None, count
+            m = ChuMorphism(f, forced_backward(f))
+            ok = morphism_is_valid(m, ex, ey) and m == embed(f)
+            yield None if ok else _pair_witness(nx, ny, f)
 
 
-def check_evaluation_deviation(u: Universe) -> CheckOutcome:
-    count = 0
+@claim(
+    "3.11-3.14",
+    "the evaluation matrix misses nothing and its kernel has exactly the "
+    "member and non-member blocks, each of half the pairs",
+)
+def check_evaluation_deviation(u: Universe):
     for n in range(2, u.max_powerset_base + 1):
-        base = FiniteSet(n)
-        count += 1
-        dev = ex_deviation(base)
+        dev = ex_deviation(FiniteSet(n))
         states = 1 << n
         flat = FiniteSet(n * states)
-        in_mask = 0
-        for xv in range(n):
-            for a in range(states):
-                if a >> xv & 1:
-                    in_mask |= 1 << (xv * states + a)
+        in_mask = sum(1 << (xv * states + a) for xv in range(n) for a in range(states) if a >> xv & 1)
         out_mask = ((1 << (n * states)) - 1) ^ in_mask
         expected_blocks = (SubsetOf(flat, out_mask), SubsetOf(flat, in_mask))
         ok = (
@@ -907,19 +810,27 @@ def check_evaluation_deviation(u: Universe) -> CheckOutcome:
             and all(len(blk) == n * states // 2 for blk in dev.part.blocks)
         )
         if not ok:
-            return VERDICT_REFUTED, {"size": n}, count
+            yield {"size": n}
+            continue
         # The kernel relation is the two-case membership rule, pairwise.
-        for idx1 in range(n * states):
-            m1 = in_mask >> idx1 & 1
-            for idx2 in range(n * states):
-                same_rule = m1 == (in_mask >> idx2 & 1)
-                same_block = dev.part.block_index(idx1) == dev.part.block_index(idx2)
-                if same_rule != same_block:
-                    return VERDICT_REFUTED, {"size": n, "pair": [idx1, idx2]}, count
-    return VERDICT_VERIFIED, None, count
+        for idx1, idx2 in product(range(n * states), repeat=2):
+            same_rule = (in_mask >> idx1 & 1) == (in_mask >> idx2 & 1)
+            same_block = dev.part.block_index(idx1) == dev.part.block_index(idx2)
+            if same_rule != same_block:
+                yield {"size": n, "pair": [idx1, idx2]}
+                break
+        else:
+            yield None
 
 
-def check_composition_reading(u: Universe) -> CheckOutcome:
+@claim(
+    "3.5-composition-order",
+    "the printed composition order for forward parts only typechecks when "
+    "the end carriers coincide; composition must chain diagrammatically",
+    kind="report-only",
+    expected=VERDICT_REFUTED,
+)
+def check_composition_reading(u: Universe):
     """The forward parts of a composite must chain source to target.
 
     Reading the composition rule with the outer forward applied second only
@@ -927,283 +838,9 @@ def check_composition_reading(u: Universe) -> CheckOutcome:
     composable pair with distinct end carriers is a witness that the reading
     as printed cannot be meant applicatively.
     """
-    count = 0
+    reason = "outer forward expects the first carrier, inner forward lands in the third"
     for nx, ny, nz in size_triples(u.max_triple_size):
-        count += 1
-        if nx != nz:
-            return (
-                VERDICT_REFUTED,
-                {
-                    "sizes": [nx, ny, nz],
-                    "reason": "outer forward expects the first carrier, inner forward lands in the third",
-                },
-                count,
-            )
-    return VERDICT_SKIPPED, None, count
-
-
-# --- registry ----------------------------------------------------------------
-
-
-REGISTRY: dict[str, Claim] = {}
-
-
-def _register(claim_id: str, law: str, kind: str, expected: str, checker) -> None:
-    if claim_id in REGISTRY:
-        raise AssertionError(f"duplicate claim id {claim_id}")
-    REGISTRY[claim_id] = Claim(claim_id, law, kind, expected, checker)
-
-
-_register(
-    "0.3",
-    "every mapping factors as surjection, bijection, injection, recomposing to itself",
-    "universal",
-    VERDICT_VERIFIED,
-    check_factorization,
-)
-_register(
-    "0.8-0.10",
-    "classification flags read off the deviation agree with the direct definitions",
-    "universal",
-    VERDICT_VERIFIED,
-    check_classification,
-)
-_register(
-    "1.3",
-    "kernel partitions sit between discrete and single-block, with equality "
-    "exactly for injective and constant mappings",
-    "universal",
-    VERDICT_VERIFIED,
-    check_kernel_bounds,
-)
-_register(
-    "partition-order",
-    "refinement is reflexive, antisymmetric on canonical forms, and transitive",
-    "universal",
-    VERDICT_VERIFIED,
-    check_partition_order,
-)
-_register(
-    "L1.1",
-    "a mapping is bijective iff its deviation is (discrete, empty) and lies "
-    "below the deviation of every mapping with the same signature",
-    "universal",
-    VERDICT_VERIFIED,
-    check_least_deviation,
-)
-_register(
-    "T1.1",
-    "the kernel partition of f refines the kernel partition of any composite g after f",
-    "universal",
-    VERDICT_VERIFIED,
-    check_dev1_monotone,
-)
-_register(
-    "1.12",
-    "the missed set of the outer mapping is contained in the missed set of the composite",
-    "universal",
-    VERDICT_VERIFIED,
-    check_dev2_outer,
-)
-_register(
-    "T1.2-counterexample",
-    "missed sets of inner and outer mappings admit strict inclusions in both "
-    "directions, so no fixed comparison holds",
-    "existential",
-    VERDICT_COUNTEREXAMPLE,
-    check_dev2_incomparable,
-)
-_register(
-    "rho-not-functor",
-    "the induced-bijection assignment has no fixed object part: its domain "
-    "and codomain vary with the mapping",
-    "existential",
-    VERDICT_COUNTEREXAMPLE,
-    check_rho_claim,
-)
-_register(
-    "devg-oracle",
-    "lattice/normal-form quotients equal element-table coset quotients for "
-    "both deviation components of every homomorphism",
-    "universal",
-    VERDICT_VERIFIED,
-    check_devg_oracle,
-)
-_register(
-    "L2.1",
-    "a homomorphism is an isomorphism iff its group deviation is (domain, trivial) "
-    "and lies below every other; surjective iff the second component is trivial; "
-    "injective iff the first is the whole domain",
-    "universal",
-    VERDICT_VERIFIED,
-    check_group_lemma,
-)
-_register(
-    "T2.1",
-    "under composition the first deviation component of the composite embeds "
-    "in that of the inner map, and the second component of the outer map "
-    "embeds in that of the composite",
-    "universal",
-    VERDICT_VERIFIED,
-    check_group_composition,
-)
-_register(
-    "T2.1-counterexample",
-    "second components of inner and outer homomorphisms admit strict "
-    "embeddings in both directions, so no fixed comparison holds",
-    "existential",
-    VERDICT_COUNTEREXAMPLE,
-    check_devg2_incomparable,
-)
-_register(
-    "embeds-oracle",
-    "the conjugate-partition embedding criterion agrees with an exhaustive "
-    "injective-homomorphism search",
-    "universal",
-    VERDICT_VERIFIED,
-    check_embeds_oracle,
-)
-_register(
-    "3.18",
-    "the subset extension sends exactly the empty set to the empty set",
-    "universal",
-    VERDICT_VERIFIED,
-    check_tilde_empty,
-)
-_register(
-    "L3.1",
-    "a mapping and its subset extension are injective, surjective, bijective together",
-    "universal",
-    VERDICT_VERIFIED,
-    check_tilde_lemma,
-)
-_register(
-    "L3.2",
-    "the preimage map is surjective iff the mapping is injective, injective "
-    "iff it is surjective, and its restriction to subsets of the image is "
-    "always injective",
-    "universal",
-    VERDICT_VERIFIED,
-    check_preimage_lemma,
-)
-_register(
-    "3.29-3.30",
-    "every subset sits inside the preimage of its image, with equality for "
-    "all subsets exactly when the mapping is injective; taking images "
-    "retracts preimages on subsets of the image",
-    "universal",
-    VERDICT_VERIFIED,
-    check_galois_identities,
-)
-_register(
-    "L3.3a",
-    "subsets of the image enumerate the kernel classes of the preimage map "
-    "bijectively, and that kernel is discrete exactly for surjective mappings",
-    "universal",
-    VERDICT_VERIFIED,
-    check_kappa_lemma,
-)
-_register(
-    "L3.3b",
-    "the deviation of the preimage map characterizes injectivity, "
-    "surjectivity, and bijectivity of the original mapping",
-    "universal",
-    VERDICT_VERIFIED,
-    check_preimage_deviation_lemma,
-)
-_register(
-    "T3.1",
-    "six characterizations of injectivity coincide: the mapping, its subset "
-    "extension, preimage surjectivity, and the three deviation shapes "
-    "(with the extension's missed set in computed form)",
-    "universal",
-    VERDICT_VERIFIED,
-    check_theorem_injective,
-)
-_register(
-    "T3.2",
-    "six characterizations of surjectivity coincide",
-    "universal",
-    VERDICT_VERIFIED,
-    check_theorem_surjective,
-)
-_register(
-    "T3.3",
-    "six characterizations of bijectivity coincide",
-    "universal",
-    VERDICT_VERIFIED,
-    check_theorem_bijective,
-)
-_register(
-    "3.44-literal",
-    "missed subsets of the extension of an injective mapping form the "
-    "powerset of the complement of the image (literal reading, empty set "
-    "aside); refuted, since subsets straddling image and complement are missed too",
-    "report-only",
-    VERDICT_REFUTED,
-    check_tilde_deviation_literal,
-)
-_register(
-    "3.44-computed",
-    "for injective mappings the extension misses exactly the subsets not "
-    "contained in the image",
-    "universal",
-    VERDICT_VERIFIED,
-    check_tilde_deviation_computed,
-)
-_register(
-    "3.58-3.61",
-    "preimage after extension is the identity for injective mappings, "
-    "extension after restricted preimage is the inclusion of image subsets, "
-    "extension after preimage is the identity for surjective mappings, and "
-    "the restricted preimage is injective",
-    "universal",
-    VERDICT_VERIFIED,
-    check_composition_identities,
-)
-_register(
-    "chu-category-laws",
-    "identities are valid and neutral, composites of valid morphisms are "
-    "valid, and composition is associative",
-    "universal",
-    VERDICT_VERIFIED,
-    check_chu_category_laws,
-)
-_register(
-    "E-functoriality",
-    "embedding a composite equals composing the embeddings",
-    "universal",
-    VERDICT_VERIFIED,
-    check_embedding_functorial,
-)
-_register(
-    "E-faithfulness",
-    "distinct mappings embed to distinct morphisms",
-    "universal",
-    VERDICT_VERIFIED,
-    check_embedding_faithful,
-)
-_register(
-    "E-fullness",
-    "between evaluation spaces every valid morphism has the forced backward "
-    "component and hence is an embedded mapping",
-    "universal",
-    VERDICT_VERIFIED,
-    check_embedding_full,
-)
-_register(
-    "3.11-3.14",
-    "the evaluation matrix misses nothing and its kernel has exactly the "
-    "member and non-member blocks, each of half the pairs",
-    "universal",
-    VERDICT_VERIFIED,
-    check_evaluation_deviation,
-)
-_register(
-    "3.5-composition-order",
-    "the printed composition order for forward parts only typechecks when "
-    "the end carriers coincide; composition must chain diagrammatically",
-    "report-only",
-    VERDICT_REFUTED,
-    check_composition_reading,
-)
+        yield None if nx == nz else {"sizes": [nx, ny, nz], "reason": reason}
+    # Only reached when every end carrier coincides (max_triple_size 0):
+    # nothing could refute the reading, and nothing was shown to verify it.
+    return VERDICT_SKIPPED

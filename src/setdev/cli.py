@@ -14,15 +14,7 @@ import sys
 from .abgroup import GroupHom, devg
 from .chu import e_space, embed, ex_deviation, morphism_is_valid
 from .finset import Mapping, canonical_factorization, classify, deviation
-from .verifier import (
-    Universe,
-    check_claim,
-    check_rho_not_functor,
-    find_dev2_incomparability,
-    machine_records,
-    registry,
-    text_report,
-)
+from .verifier import Universe, check_claim, machine_records, registry, text_report
 
 USAGE_ERROR = 2
 
@@ -254,9 +246,10 @@ def cmd_chu(args: argparse.Namespace) -> int:
 
 def cmd_counterexamples(args: argparse.Namespace) -> int:
     universe = _universe_from_args(args)
-    dev2 = find_dev2_incomparability(universe)
-    rho = check_rho_not_functor(universe)
-    devg2 = check_claim("T2.1-counterexample", universe).witness
+    dev2, rho, devg2 = (
+        check_claim(claim_id, universe).witness
+        for claim_id in ("T1.2-counterexample", "rho-not-functor", "T2.1-counterexample")
+    )
     if args.format == "machine":
         record = {
             "schema": 1,

@@ -22,6 +22,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
+def _is_int(value: object) -> bool:
+    # bool is an int subclass and 2.0 == 2, but JSON true and 2.0 are not integer literals.
+    return type(value) is int
+
+
 @dataclass(frozen=True)
 class FiniteSet:
     """Canonical carrier {0, ..., size-1} with optional display labels."""
@@ -207,7 +212,15 @@ class Mapping:
     def from_json_dict(cls, data: dict) -> Mapping:
         if not isinstance(data, dict) or set(data) != {"dom", "cod", "table"}:
             raise ValueError('mapping literal needs exactly the keys "dom", "cod", "table"')
-        return cls(FiniteSet(data["dom"]), FiniteSet(data["cod"]), tuple(data["table"]))
+        table = data["table"]
+        if not (
+            _is_int(data["dom"])
+            and _is_int(data["cod"])
+            and isinstance(table, list)
+            and all(_is_int(v) for v in table)
+        ):
+            raise ValueError('mapping literal needs integer "dom" and "cod" and a list of integers as "table"')
+        return cls(FiniteSet(data["dom"]), FiniteSet(data["cod"]), tuple(table))
 
     def to_json_dict(self) -> dict:
         return {"dom": self.dom.size, "cod": self.cod.size, "table": list(self.table)}

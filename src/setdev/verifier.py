@@ -1,12 +1,18 @@
-"""Claim registry engine: bounded universes, deterministic checks, reports.
+"""Claim engine: bounded universes, one sweep driver, deterministic reports.
 
-Every structural law of the deviation calculus is registered as a claim with
-a stable id, an executable checker, and the verdict it is expected to
-produce. Universal claims sweep an exhaustively enumerated universe and
-refute with the first counterexample in enumeration order; existential
-claims stop at the first witness. Enumeration order is fixed (sizes by
-total, then lexicographic), so for a fixed universe two runs produce
-identical reports and reported witnesses are minimal for their claim.
+Every structural law of the deviation calculus is registered with ``@claim``
+under a stable id, with a body and the verdict it is expected to produce.
+A body is a generator over a bounded universe. It yields one item per
+instance it checks: None when the instance passes, or a witness dict.
+
+``check_claim`` is the one driver. It counts the items (the one carrying
+the witness included), stops at the first witness, and derives the verdict
+from the claim's kind: a universal or report-only claim is refuted-as-stated
+with a witness and verified without one; an existential claim is
+counterexample-found-as-required with a witness and skipped without one.
+Enumeration order is fixed (sizes by total, then lexicographic), so for a
+fixed universe two runs produce identical reports and reported witnesses
+are minimal for their claim.
 """
 
 from __future__ import annotations
@@ -15,9 +21,9 @@ import json
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Iterator
+from typing import Callable, Generator, Iterator
 
-from .finset import FiniteSet, Mapping, image, kernel_partition
+from .finset import FiniteSet, Mapping
 
 VERDICT_VERIFIED = "verified"
 VERDICT_COUNTEREXAMPLE = "counterexample-found-as-required"
@@ -46,18 +52,26 @@ class Universe:
             raise ValueError("max_powerset_base is capped at 12")
 
 
-CheckOutcome = tuple[str, object, int]
+# kind -> (verdict when the body yields a witness, verdict when it yields none)
+VERDICTS_BY_KIND = {
+    "universal": (VERDICT_REFUTED, VERDICT_VERIFIED),
+    "existential": (VERDICT_COUNTEREXAMPLE, VERDICT_SKIPPED),
+    "report-only": (VERDICT_REFUTED, VERDICT_VERIFIED),
+}
+
+# One item per instance checked: None when it passes, else the witness.
+ClaimBody = Callable[[Universe], Generator[object, None, "str | None"]]
 
 
 @dataclass(frozen=True)
 class Claim:
-    """One law bound to an executable checker and its expected verdict."""
+    """One law bound to the body that sweeps it and its expected verdict."""
 
     id: str
     law: str
     kind: str  # "universal" | "existential" | "report-only"
     expected: str
-    checker: Callable[[Universe], CheckOutcome] = field(compare=False, repr=False)
+    body: ClaimBody = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -71,6 +85,25 @@ class Report:
 
     def ok(self) -> bool:
         return self.verdict == self.expected
+
+
+REGISTRY: dict[str, Claim] = {}
+
+
+def claim(
+    claim_id: str, law: str, kind: str = "universal", expected: str = VERDICT_VERIFIED
+) -> Callable[[ClaimBody], ClaimBody]:
+    """Register the decorated generator as the body of claim ``claim_id``."""
+    if kind not in VERDICTS_BY_KIND:
+        raise ValueError(f"unknown claim kind {kind}")
+
+    def register(body: ClaimBody) -> ClaimBody:
+        if claim_id in REGISTRY:
+            raise AssertionError(f"duplicate claim id {claim_id}")
+        REGISTRY[claim_id] = Claim(claim_id, law, kind, expected, body)
+        return body
+
+    return register
 
 
 def enumerate_mappings(dom: FiniteSet, cod: FiniteSet, limit: int | None = None) -> Iterator[Mapping]:
@@ -99,95 +132,45 @@ def size_triples(max_size: int) -> Iterator[tuple[int, int, int]]:
                     yield nx, ny, nz
 
 
-def mapping_witness(f: Mapping) -> dict:
-    return f.to_json_dict()
-
-
-def find_dev2_incomparability_counted(universe: Universe) -> tuple[dict | None, int]:
-    """Counted search behind find_dev2_incomparability."""
-    first = None
-    second = None
-    scanned = 0
-    for n in range(universe.max_triple_size + 1):
-        base = FiniteSet(n)
-        maps = list(enumerate_mappings(base, base))
-        devs = [image(f).complement().bits for f in maps]
-        for i, f in enumerate(maps):
-            for j, g in enumerate(maps):
-                scanned += 1
-                df, dg = devs[i], devs[j]
-                if first is None and df & ~dg == 0 and df != dg:
-                    first = {"size": n, "f": mapping_witness(f), "g": mapping_witness(g)}
-                if second is None and dg & ~df == 0 and df != dg:
-                    second = {"size": n, "f": mapping_witness(f), "g": mapping_witness(g)}
-                if first and second:
-                    witness = {
-                        "dev2_f_strictly_below_g": first,
-                        "dev2_g_strictly_below_f": second,
-                    }
-                    return witness, scanned
-    return None, scanned
-
-
-def find_dev2_incomparability(universe: Universe) -> dict | None:
-    """Two mapping pairs on one shared carrier realizing both strict
-    inclusions between the missed sets of the first and the second mapping.
-
-    Returns None when the universe is too small to contain both patterns.
-    """
-    return find_dev2_incomparability_counted(universe)[0]
-
-
-def check_rho_not_functor_counted(universe: Universe) -> tuple[dict | None, int]:
-    """Counted search behind check_rho_not_functor."""
-    scanned = 0
-    for nx, ny in size_pairs(universe.max_set_size):
-        x, y = FiniteSet(nx), FiniteSet(ny)
-        maps = list(enumerate_mappings(x, y))
-        for i, f in enumerate(maps):
-            part_f, img_f = kernel_partition(f), image(f)
-            for g in maps[i + 1 :]:
-                scanned += 1
-                part_g, img_g = kernel_partition(g), image(g)
-                if part_f != part_g or img_f != img_g:
-                    witness = {
-                        "x_size": nx,
-                        "y_size": ny,
-                        "f": mapping_witness(f),
-                        "g": mapping_witness(g),
-                        "kernel_f": part_f.to_lists(),
-                        "kernel_g": part_g.to_lists(),
-                        "image_f": img_f.to_list(),
-                        "image_g": img_g.to_list(),
-                    }
-                    return witness, scanned
-    return None, scanned
-
-
-def check_rho_not_functor(universe: Universe) -> dict | None:
-    """Two mappings with one signature whose induced bijections differ in
-    domain or codomain, so the induced-bijection assignment fixes neither.
-    """
-    return check_rho_not_functor_counted(universe)[0]
+def mappings(bound: int) -> Iterator[tuple[int, int, Mapping]]:
+    """(nx, ny, f) for every mapping between carriers of size at most bound,
+    signatures in size_pairs order, tables lexicographic within each."""
+    for nx, ny in size_pairs(bound):
+        for f in enumerate_mappings(FiniteSet(nx), FiniteSet(ny)):
+            yield nx, ny, f
 
 
 def registry() -> dict[str, Claim]:
-    from .claims import REGISTRY
+    from . import claims  # noqa: F401  (importing it registers every claim)
 
     return REGISTRY
 
 
 def check_claim(claim: Claim | str, universe: Universe) -> Report:
+    """Run one claim's sweep: count its items and stop at the first witness."""
     if isinstance(claim, str):
         reg = registry()
         if claim not in reg:
             raise KeyError(f"unknown claim id: {claim}")
         claim = reg[claim]
+    found, exhausted = VERDICTS_BY_KIND[claim.kind]
     start = time.perf_counter()
-    verdict, witness, instances = claim.checker(universe)
+    sweep = claim.body(universe)
+    instances = 0
+    try:
+        while (witness := next(sweep)) is None:
+            instances += 1
+        instances += 1
+        verdict = found
+        sweep.close()
+    except StopIteration as end:
+        # A body may return a verdict to replace the kind's default for a
+        # sweep that found no witness.
+        witness = None
+        verdict = end.value or exhausted
     elapsed = (time.perf_counter() - start) * 1000.0
     if verdict not in VERDICTS:
-        raise AssertionError(f"checker for {claim.id} produced unknown verdict {verdict}")
+        raise AssertionError(f"claim {claim.id} produced unknown verdict {verdict}")
     if verdict in (VERDICT_REFUTED, VERDICT_COUNTEREXAMPLE) and witness is None:
         raise AssertionError(f"claim {claim.id} reported {verdict} without a witness")
     return Report(claim.id, verdict, claim.expected, witness, instances, elapsed)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from setdev.abgroup import (
     FinAbGroup,
-    GroupElem,
     GroupHom,
     TRIVIAL_GROUP,
     canonical,
@@ -69,15 +68,6 @@ def test_canonical_recombination():
     assert canonical([4, 2]) == FinAbGroup((2, 4))
     assert canonical([2, 2, 3]) == FinAbGroup((2, 6))
     assert canonical([1, 1]) == TRIVIAL_GROUP
-
-
-def test_group_elem_validation():
-    g = FinAbGroup((2, 4))
-    e = GroupElem(g, (1, 3))
-    assert (e + e).coords == (0, 2)
-    assert e.scale(4).coords == (0, 0)
-    with pytest.raises(ValueError):
-        GroupElem(g, (2, 0))
 
 
 def test_element_table_examples():

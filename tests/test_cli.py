@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from setdev.cli import main
 
 
@@ -38,6 +40,26 @@ def test_dev_range_error(capsys):
     code, _, err = run(capsys, "dev", '{"dom":2,"cod":2,"table":[5,0]}')
     assert code == 2
     assert "outside the codomain" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dev", '{"dom":3,"cod":2,"table":[0,0,1.0]}'),
+        ("dev", '{"dom":true,"cod":2,"table":[0]}'),
+        ("factor", '{"dom":2,"cod":2.0,"table":[0,1]}'),
+        ("chu", '{"dom":2,"cod":2,"table":"01"}'),
+        ("group", '{"dom":[4],"cod":[4],"matrix":[[2.0]]}'),
+        ("group", '{"dom":[4.0],"cod":[4],"matrix":[[2]]}'),
+        ("group", '{"dom":[2],"cod":[2],"matrix":[[true]]}'),
+        ("group", '{"dom":4,"cod":[4],"matrix":[[2]]}'),
+    ],
+)
+def test_non_integer_literal_is_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert "integer" in err
 
 
 def test_dev_parse_error_reports_position(capsys):

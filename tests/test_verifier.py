@@ -1,8 +1,8 @@
+import hashlib
 import json
 
 import pytest
 
-from setdev.claims import REGISTRY
 from setdev.finset import FiniteSet
 from setdev.verifier import (
     Universe,
@@ -12,14 +12,22 @@ from setdev.verifier import (
     VERDICT_VERIFIED,
     check_all,
     check_claim,
-    check_rho_not_functor,
     enumerate_mappings,
-    find_dev2_incomparability,
     machine_records,
+    registry,
     text_report,
 )
 
+REGISTRY = registry()
+
 SMALL = Universe(max_set_size=2, max_triple_size=2, max_group_order=4, max_powerset_base=2)
+ZERO = Universe(max_set_size=0, max_triple_size=0, max_group_order=0, max_powerset_base=0)
+
+EXPECTED_BY_KIND = {
+    "universal": VERDICT_VERIFIED,
+    "existential": VERDICT_COUNTEREXAMPLE,
+    "report-only": VERDICT_REFUTED,
+}
 
 
 def test_enumerate_mappings_counts():
@@ -46,13 +54,8 @@ def test_universe_validation():
 def test_registry_ids_unique_and_expected_verdicts_populated():
     assert len(REGISTRY) == len({c.id for c in REGISTRY.values()})
     for claim in REGISTRY.values():
-        assert claim.kind in ("universal", "existential", "report-only")
-        assert claim.expected in (
-            VERDICT_VERIFIED,
-            VERDICT_COUNTEREXAMPLE,
-            VERDICT_REFUTED,
-            VERDICT_SKIPPED,
-        )
+        assert claim.kind in EXPECTED_BY_KIND
+        assert claim.expected == EXPECTED_BY_KIND[claim.kind], claim.id
         assert claim.law
 
 
@@ -62,7 +65,7 @@ def test_unknown_claim_raises():
 
 
 def test_dev2_incomparability_minimal_witness():
-    witness = find_dev2_incomparability(Universe(max_triple_size=3))
+    witness = check_claim("T1.2-counterexample", Universe(max_triple_size=3)).witness
     assert witness is not None
     below = witness["dev2_f_strictly_below_g"]
     above = witness["dev2_g_strictly_below_f"]
@@ -72,11 +75,11 @@ def test_dev2_incomparability_minimal_witness():
 
 
 def test_dev2_incomparability_needs_size_two():
-    assert find_dev2_incomparability(Universe(max_triple_size=1)) is None
+    assert check_claim("T1.2-counterexample", Universe(max_triple_size=1)).witness is None
 
 
 def test_rho_witness_minimal():
-    witness = check_rho_not_functor(Universe(max_set_size=3))
+    witness = check_claim("rho-not-functor", Universe(max_set_size=3)).witness
     assert witness == {
         "x_size": 1,
         "y_size": 2,
@@ -100,8 +103,7 @@ def test_literal_extension_claim_refuted_with_minimal_witness():
 
 
 def test_degenerate_universe_skips_or_verifies():
-    empty = Universe(max_set_size=0, max_triple_size=0, max_group_order=0, max_powerset_base=0)
-    for report in check_all(empty):
+    for report in check_all(ZERO):
         assert report.verdict in (VERDICT_VERIFIED, VERDICT_SKIPPED)
 
 
@@ -122,6 +124,22 @@ def test_monotone_universes():
         assert small.verdict == VERDICT_VERIFIED
         assert bigger.verdict == VERDICT_VERIFIED
         assert bigger.instances >= small.instances
+
+
+@pytest.mark.parametrize(
+    "universe, digest",
+    [
+        (SMALL, "fcd235ea0728b91e596e1658624265f78dea9833bde0782b86065bb1e870444b"),
+        # Everything skips or verifies here; 3.5-composition-order sweeps its one
+        # size triple without a witness and reports skipped.
+        (ZERO, "8d370162fd9e4e2bcd0d460780023a4a20b0955f6e9d741599a2ec37b9f56b27"),
+    ],
+    ids=["small", "zero"],
+)
+def test_machine_records_golden(universe, digest):
+    # Pins every verdict, witness and instance count, byte for byte.
+    text = machine_records(check_all(universe))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_reports_are_deterministic():
