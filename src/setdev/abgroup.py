@@ -388,9 +388,9 @@ class ElementTable:
         return n
 
 
-def element_table(group: FinAbGroup, max_order: int = MAX_TABLE_ORDER) -> ElementTable:
-    if group.order() > max_order:
-        raise ValueError(f"group of order {group.order()} exceeds the table bound {max_order}")
+def element_table(group: FinAbGroup) -> ElementTable:
+    if group.order() > MAX_TABLE_ORDER:
+        raise ValueError(f"group of order {group.order()} exceeds the table bound {MAX_TABLE_ORDER}")
     elems = tuple(product(*(range(d) for d in group.factors)))
     return ElementTable(group, elems)
 
@@ -429,18 +429,18 @@ def _quotient_invariants(table: ElementTable, subgroup: frozenset) -> FinAbGroup
     return _combine_prime_exponents(exps)
 
 
-def devg1_oracle(f: GroupHom, max_order: int = MAX_TABLE_ORDER) -> FinAbGroup:
+def devg1_oracle(f: GroupHom) -> FinAbGroup:
     """Element-table route to dom(f)/ker(f)."""
-    tx = element_table(f.dom, max_order)
+    tx = element_table(f.dom)
     zero = (0,) * len(f.cod.factors)
     ker = frozenset(x for x in tx.elements if f.apply(x) == zero)
     return _quotient_invariants(tx, ker)
 
 
-def devg2_oracle(f: GroupHom, max_order: int = MAX_TABLE_ORDER) -> FinAbGroup:
+def devg2_oracle(f: GroupHom) -> FinAbGroup:
     """Element-table route to cod(f)/image(f)."""
-    tx = element_table(f.dom, max_order)
-    ty = element_table(f.cod, max_order)
+    tx = element_table(f.dom)
+    ty = element_table(f.cod)
     img = frozenset(f.apply(x) for x in tx.elements)
     return _quotient_invariants(ty, img)
 
@@ -481,7 +481,7 @@ def embeds_in(a: FinAbGroup, b: FinAbGroup) -> bool:
 
 
 @lru_cache(maxsize=None)
-def embeds_in_oracle(a: FinAbGroup, b: FinAbGroup, max_order: int = MAX_ORACLE_ORDER) -> bool:
+def embeds_in_oracle(a: FinAbGroup, b: FinAbGroup) -> bool:
     """Search for an injective homomorphism, generator image by generator image.
 
     Independent of the partition criterion: candidates for each generator are
@@ -490,8 +490,8 @@ def embeds_in_oracle(a: FinAbGroup, b: FinAbGroup, max_order: int = MAX_ORACLE_O
     torsion subgroup available to the remaining generators cannot reach the
     needed order.
     """
-    if a.order() > max_order or b.order() > max_order:
-        raise ValueError(f"oracle embedding search is bounded at order {max_order}")
+    if a.order() > MAX_ORACLE_ORDER or b.order() > MAX_ORACLE_ORDER:
+        raise ValueError(f"oracle embedding search is bounded at order {MAX_ORACLE_ORDER}")
     if a.is_trivial():
         return True
     # Injections restrict to injections on n-torsion.
@@ -503,7 +503,7 @@ def embeds_in_oracle(a: FinAbGroup, b: FinAbGroup, max_order: int = MAX_ORACLE_O
             if ta > tb:
                 return False
 
-    tb = element_table(b, max_order)
+    tb = element_table(b)
     order_of = {x: tb.order_of(x) for x in tb.elements}
     gens = sorted(a.factors, reverse=True)
     by_exact_order = {
@@ -548,12 +548,10 @@ def devg_leq(f: GroupHom, g: GroupHom) -> bool:
     return embeds_in(devg1(g), devg1(f)) and embeds_in(devg2(f), devg2(g))
 
 
-def enumerate_homs(
-    dom: FinAbGroup, cod: FinAbGroup, max_order: int = MAX_HOM_ORDER
-) -> Iterator[GroupHom]:
+def enumerate_homs(dom: FinAbGroup, cod: FinAbGroup) -> Iterator[GroupHom]:
     """All well-defined homomorphisms, in lexicographic matrix order."""
-    if dom.order() > max_order or cod.order() > max_order:
-        raise ValueError(f"hom enumeration is bounded at order {max_order}")
+    if dom.order() > MAX_HOM_ORDER or cod.order() > MAX_HOM_ORDER:
+        raise ValueError(f"hom enumeration is bounded at order {MAX_HOM_ORDER}")
     m = len(dom.factors)
     k = len(cod.factors)
     choices = []

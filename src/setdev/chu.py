@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .finset import Deviation, FiniteSet, Mapping, deviation
-from .powerset import DEFAULT_MAX_BASE, power_set, preimage_map
+from .powerset import power_set, preimage_map
 
 
 @dataclass(frozen=True)
@@ -33,19 +33,6 @@ class ChuSpace:
                 if not 0 <= w < self.alphabet.size:
                     raise ValueError(f"matrix entry {w} outside the alphabet")
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> ChuSpace:
-        if not isinstance(data, dict) or set(data) != {"points", "states", "alphabet", "matrix"}:
-            raise ValueError(
-                'chu literal needs exactly the keys "points", "states", "alphabet", "matrix"'
-            )
-        return cls(
-            FiniteSet(data["points"]),
-            FiniteSet(data["states"]),
-            FiniteSet(data["alphabet"]),
-            tuple(tuple(row) for row in data["matrix"]),
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "points": self.points.size,
@@ -53,9 +40,6 @@ class ChuSpace:
             "alphabet": self.alphabet.size,
             "matrix": [list(row) for row in self.matrix],
         }
-
-    def value(self, x: int, y: int) -> int:
-        return self.matrix[x][y]
 
 
 @dataclass(frozen=True)
@@ -92,59 +76,56 @@ def compose(m: ChuMorphism, n: ChuMorphism) -> ChuMorphism:
     return ChuMorphism(m.forward.then(n.forward), n.backward.then(m.backward))
 
 
-def e_space(base: FiniteSet, max_base: int = DEFAULT_MAX_BASE) -> ChuSpace:
+def e_space(base: FiniteSet) -> ChuSpace:
     """Evaluation space: points of the carrier against all of its subsets."""
-    states = power_set(base, max_base).as_set
+    states = power_set(base)
     matrix = tuple(
         tuple(a >> x & 1 for a in range(states.size)) for x in range(base.size)
     )
     return ChuSpace(base, states, FiniteSet(2), matrix)
 
 
-def embed(f: Mapping, max_base: int = DEFAULT_MAX_BASE) -> ChuMorphism:
+def embed(f: Mapping) -> ChuMorphism:
     """Represent a plain mapping between evaluation spaces.
 
     Forward is f itself, backward is the preimage map on subsets; the pair is
     adjoint because membership of x in a preimage is membership of f(x).
     """
-    return ChuMorphism(f, preimage_map(f, max_base))
+    return ChuMorphism(f, preimage_map(f))
 
 
-def forced_backward(u: Mapping, max_base: int = DEFAULT_MAX_BASE) -> Mapping:
-    """The unique backward map making u valid between evaluation spaces.
+def forced_backward(u: Mapping) -> Mapping | None:
+    """The backward map adjointness forces on u between evaluation spaces.
 
-    Membership of x in the backward image of a state B is pinned by the
-    adjointness equation to membership of u(x) in B; the table is built from
-    that equation alone.
+    State by state: a target state b must pull back to a source state a
+    whose entry at every point x equals the target's entry at (u(x), b).
+    Returns None unless every b has exactly one such a, so a result is the
+    one backward map making u valid.
     """
-    if u.dom.size > max_base or u.cod.size > max_base:
-        raise ValueError(f"evaluation spaces are bounded at base size {max_base}")
-    src_states = 1 << u.dom.size
-    dst_states = 1 << u.cod.size
+    src, dst = e_space(u.dom), e_space(u.cod)
+    by_column: dict[tuple[int, ...], list[int]] = {}
+    for a in range(src.states.size):
+        by_column.setdefault(tuple(row[a] for row in src.matrix), []).append(a)
     table = []
-    for b in range(dst_states):
-        bits = 0
-        for x in range(u.dom.size):
-            if b >> u.table[x] & 1:
-                bits |= 1 << x
-        table.append(bits)
-    return Mapping(FiniteSet(dst_states), FiniteSet(src_states), tuple(table))
+    for b in range(dst.states.size):
+        solutions = by_column.get(tuple(dst.matrix[y][b] for y in u.table), [])
+        if len(solutions) != 1:
+            return None
+        table.append(solutions[0])
+    return Mapping(dst.states, src.states, tuple(table))
 
 
-def ex_mapping(base: FiniteSet, max_base: int = DEFAULT_MAX_BASE) -> Mapping:
+def ex_mapping(base: FiniteSet) -> Mapping:
     """Evaluation matrix flattened to one mapping on (point, subset) pairs.
 
     Pair (x, A) sits at index x * 2**n + A.
     """
-    if base.size > max_base:
-        raise ValueError(f"evaluation spaces are bounded at base size {max_base}")
-    n = base.size
-    states = 1 << n
-    table = tuple(a >> x & 1 for x in range(n) for a in range(states))
-    return Mapping(FiniteSet(n * states), FiniteSet(2), table)
+    space = e_space(base)
+    table = tuple(w for row in space.matrix for w in row)
+    return Mapping(FiniteSet(len(table)), space.alphabet, table)
 
 
-def ex_deviation(base: FiniteSet, max_base: int = DEFAULT_MAX_BASE) -> Deviation:
+def ex_deviation(base: FiniteSet) -> Deviation:
     """Deviation of the flattened evaluation matrix.
 
     Needs at least two points; below that the evaluation matrix does not
@@ -152,4 +133,4 @@ def ex_deviation(base: FiniteSet, max_base: int = DEFAULT_MAX_BASE) -> Deviation
     """
     if base.size < 2:
         raise ValueError("evaluation deviation needs a carrier with at least 2 elements")
-    return deviation(ex_mapping(base, max_base))
+    return deviation(ex_mapping(base))

@@ -205,10 +205,6 @@ class Mapping:
         return cls(base, base, tuple(range(base.size)))
 
     @classmethod
-    def constant(cls, dom: FiniteSet, cod: FiniteSet, value: int) -> Mapping:
-        return cls(dom, cod, (value,) * dom.size)
-
-    @classmethod
     def from_json_dict(cls, data: dict) -> Mapping:
         if not isinstance(data, dict) or set(data) != {"dom", "cod", "table"}:
             raise ValueError('mapping literal needs exactly the keys "dom", "cod", "table"')
@@ -224,9 +220,6 @@ class Mapping:
 
     def to_json_dict(self) -> dict:
         return {"dom": self.dom.size, "cod": self.cod.size, "table": list(self.table)}
-
-    def __call__(self, x: int) -> int:
-        return self.table[x]
 
     def then(self, other: Mapping) -> Mapping:
         """Diagrammatic composite: first self, then other."""
@@ -375,8 +368,3 @@ def deviation_leq(f: Mapping, g: Mapping) -> bool:
     if not partition_leq(kernel_partition(f), kernel_partition(g)):
         return False
     return image(g).issubset(image(f))
-
-
-def rho(f: Mapping) -> Mapping:
-    """The bijection a mapping induces from its kernel blocks onto its image."""
-    return canonical_factorization(f).mid

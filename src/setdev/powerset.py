@@ -1,82 +1,57 @@
 """Powerset carriers and the subset-level maps a mapping induces.
 
 A subset's bitmask doubles as its index in the powerset carrier, so index 0
-is the empty set and encoding/decoding are mutually inverse by construction.
-Every map on a powerset is tabulated in full, so carriers are capped
-(default base size 12).
+is the empty set and the carrier of P(X) is the finite set of size 2**|X|.
+Every map on a powerset is tabulated in full, so bases are capped at
+MAX_BASE elements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .finset import FiniteSet, Mapping, discrete, image, kernel_partition
 
-from .finset import FiniteSet, Mapping, SubsetOf, discrete, image, kernel_partition
-
-DEFAULT_MAX_BASE = 12
-
-
-@dataclass(frozen=True)
-class PowersetCarrier:
-    base: FiniteSet
-    as_set: FiniteSet
-
-    def __post_init__(self) -> None:
-        if self.as_set.size != 1 << self.base.size:
-            raise ValueError("powerset carrier must have size 2**|base|")
-
-    def encode(self, subset: SubsetOf) -> int:
-        if subset.base != self.base:
-            raise ValueError("subset belongs to a different base carrier")
-        return subset.bits
-
-    def decode(self, index: int) -> SubsetOf:
-        return SubsetOf(self.base, index)
+# A table over P(X) has 2**|X| entries; 4096 keeps every sweep tractable.
+MAX_BASE = 12
 
 
-def power_set(base: FiniteSet, max_base: int = DEFAULT_MAX_BASE) -> PowersetCarrier:
-    if base.size > max_base:
-        raise ValueError(
-            f"powerset over {base.size} elements exceeds the configured bound {max_base}"
-        )
-    return PowersetCarrier(base, FiniteSet(1 << base.size))
+def power_set(base: FiniteSet) -> FiniteSet:
+    """The carrier of P(base), indexed by subset bitmask."""
+    if base.size > MAX_BASE:
+        raise ValueError(f"powerset over {base.size} elements exceeds the bound {MAX_BASE}")
+    return FiniteSet(1 << base.size)
 
 
-def direct_image_map(f: Mapping, max_base: int = DEFAULT_MAX_BASE) -> Mapping:
+def _unions(masks: list[int]) -> tuple[int, ...]:
+    """table[s] is the OR of masks[i] over the bits i of s."""
+    table = [0]
+    for mask in masks:
+        table += [t | mask for t in table]
+    return tuple(table)
+
+
+def _fibres(f: Mapping) -> list[int]:
+    """fibres[y] is the bitmask of the x with f(x) = y."""
+    fibres = [0] * f.cod.size
+    for x, y in enumerate(f.table):
+        fibres[y] |= 1 << x
+    return fibres
+
+
+def direct_image_map(f: Mapping) -> Mapping:
     """Subset-level extension of f: encoded A goes to encoded f(A).
 
     Sends the empty set to the empty set and nothing else to it, since f is
     total.
     """
-    px = power_set(f.dom, max_base)
-    py = power_set(f.cod, max_base)
-    point_bits = [1 << y for y in f.table]
-    table = []
-    for a in range(px.as_set.size):
-        bits = 0
-        rest = a
-        while rest:
-            low = rest & -rest
-            bits |= point_bits[low.bit_length() - 1]
-            rest ^= low
-        table.append(bits)
-    return Mapping(px.as_set, py.as_set, tuple(table))
+    return Mapping(power_set(f.dom), power_set(f.cod), _unions([1 << y for y in f.table]))
 
 
-def preimage_map(f: Mapping, max_base: int = DEFAULT_MAX_BASE) -> Mapping:
+def preimage_map(f: Mapping) -> Mapping:
     """Subset-level inverse of f: encoded U goes to encoded preimage of U."""
-    px = power_set(f.dom, max_base)
-    py = power_set(f.cod, max_base)
-    table = []
-    for u in range(py.as_set.size):
-        bits = 0
-        for x, y in enumerate(f.table):
-            if u >> y & 1:
-                bits |= 1 << x
-        table.append(bits)
-    return Mapping(py.as_set, px.as_set, tuple(table))
+    return Mapping(power_set(f.cod), power_set(f.dom), _unions(_fibres(f)))
 
 
-def restrict_preimage_to_image(f: Mapping, max_base: int = DEFAULT_MAX_BASE) -> Mapping:
+def restrict_preimage_to_image(f: Mapping) -> Mapping:
     """Preimage map restricted to subsets of the image of f.
 
     The domain is the powerset carrier of the image (as its own canonical
@@ -84,20 +59,10 @@ def restrict_preimage_to_image(f: Mapping, max_base: int = DEFAULT_MAX_BASE) -> 
     image is a one-sided inverse on subsets of the image.
     """
     img = image(f).elements()
-    dom_carrier = power_set(FiniteSet(len(img)), max_base)
-    px = power_set(f.dom, max_base)
-    table = []
-    for v in range(dom_carrier.as_set.size):
-        ybits = 0
-        for j, y in enumerate(img):
-            if v >> j & 1:
-                ybits |= 1 << y
-        bits = 0
-        for x, y in enumerate(f.table):
-            if ybits >> y & 1:
-                bits |= 1 << x
-        table.append(bits)
-    return Mapping(dom_carrier.as_set, px.as_set, tuple(table))
+    fibres = _fibres(f)
+    return Mapping(
+        power_set(FiniteSet(len(img))), power_set(f.dom), _unions([fibres[y] for y in img])
+    )
 
 
 def iota(base: FiniteSet) -> Mapping:
@@ -111,7 +76,7 @@ def iota(base: FiniteSet) -> Mapping:
     return Mapping(base, FiniteSet(len(blocks)), tuple(range(base.size)))
 
 
-def kappa(f: Mapping, max_base: int = DEFAULT_MAX_BASE) -> Mapping:
+def kappa(f: Mapping) -> Mapping:
     """Identification of P(image f) with the kernel blocks of the preimage map.
 
     Two subsets of the codomain have the same preimage exactly when they cut
@@ -120,13 +85,6 @@ def kappa(f: Mapping, max_base: int = DEFAULT_MAX_BASE) -> Mapping:
     every f.
     """
     img = image(f).elements()
-    dom_carrier = power_set(FiniteSet(len(img)), max_base)
-    part = kernel_partition(preimage_map(f, max_base))
-    table = []
-    for v in range(dom_carrier.as_set.size):
-        u = 0
-        for j, y in enumerate(img):
-            if v >> j & 1:
-                u |= 1 << y
-        table.append(part.block_index(u))
-    return Mapping(dom_carrier.as_set, FiniteSet(len(part.blocks)), tuple(table))
+    part = kernel_partition(preimage_map(f))
+    table = tuple(part.block_index(u) for u in _unions([1 << y for y in img]))
+    return Mapping(power_set(FiniteSet(len(img))), FiniteSet(len(part.blocks)), table)

@@ -24,6 +24,7 @@ from itertools import product
 from typing import Callable, Generator, Iterator
 
 from .finset import FiniteSet, Mapping
+from .powerset import MAX_BASE
 
 VERDICT_VERIFIED = "verified"
 VERDICT_COUNTEREXAMPLE = "counterexample-found-as-required"
@@ -48,8 +49,8 @@ class Universe:
         for name in ("max_set_size", "max_triple_size", "max_group_order", "max_powerset_base"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.max_powerset_base > 12:
-            raise ValueError("max_powerset_base is capped at 12")
+        if self.max_powerset_base > MAX_BASE:
+            raise ValueError(f"max_powerset_base is capped at {MAX_BASE}")
 
 
 # kind -> (verdict when the body yields a witness, verdict when it yields none)
@@ -106,10 +107,8 @@ def claim(
     return register
 
 
-def enumerate_mappings(dom: FiniteSet, cod: FiniteSet, limit: int | None = None) -> Iterator[Mapping]:
+def enumerate_mappings(dom: FiniteSet, cod: FiniteSet) -> Iterator[Mapping]:
     """All mappings dom -> cod, lexicographic by table."""
-    if limit is not None and (dom.size > limit or cod.size > limit):
-        raise ValueError(f"carrier sizes exceed the bound {limit}")
     for table in product(range(cod.size), repeat=dom.size):
         yield Mapping(dom, cod, table)
 

@@ -16,7 +16,6 @@ from setdev.finset import (
     indiscrete,
     kernel_partition,
     partition_leq,
-    rho,
 )
 from setdev.verifier import enumerate_mappings
 
@@ -193,11 +192,12 @@ def test_deviation_leq_signature_mismatch():
 
 
 def test_rho_examples():
+    # rho(f) is the middle bijection of the canonical factorization.
     bij = m(3, 3, [2, 0, 1])
-    r = rho(bij)
+    r = canonical_factorization(bij).mid
     assert r.is_bijective() and r.dom.size == 3
-    assert rho(m(3, 2, [0, 0, 0])).dom.size == 1
-    assert rho(m(3, 3, [0, 0, 2])).dom.size == 2
+    assert canonical_factorization(m(3, 2, [0, 0, 0])).mid.dom.size == 1
+    assert canonical_factorization(m(3, 3, [0, 0, 2])).mid.dom.size == 2
 
 
 # --- properties -----------------------------------------------------------------
@@ -250,7 +250,7 @@ def test_kernel_partition_blocks_are_fibres(data):
     f = m(nx, ny, table)
     part = kernel_partition(f)
     for blk in part.blocks:
-        values = {f(x) for x in blk.elements()}
+        values = {f.table[x] for x in blk.elements()}
         assert len(values) == 1
     assert sum(len(b) for b in part.blocks) == nx
 
