@@ -33,7 +33,7 @@ MAX_TABLE_ORDER = 4096
 MAX_ORACLE_ORDER = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FinAbGroup:
     """Finite abelian group presented by its invariant factors."""
 
@@ -108,7 +108,7 @@ def _is_int_list(value: object) -> bool:
     return isinstance(value, list) and all(type(v) is int for v in value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupHom:
     """Homomorphism between finite abelian groups as an integer matrix."""
 
@@ -312,6 +312,13 @@ def integer_kernel_basis(mat: list[list[int]]) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
+def _shared_group(factors: tuple[int, ...]) -> FinAbGroup:
+    # One object per isomorphism class, so the memo caches below hold a
+    # group per class rather than one per homomorphism.
+    return FinAbGroup(factors)
+
+
+@lru_cache(maxsize=None)
 def devg1(f: GroupHom) -> FinAbGroup:
     """Invariant factors of dom(f) / ker(f).
 
@@ -336,7 +343,7 @@ def devg1(f: GroupHom) -> FinAbGroup:
     diag = [d[i][i] for i in range(min(m, len(basis)))]
     if len(diag) < m or any(x == 0 for x in diag):
         raise AssertionError("kernel lattice must have full rank")
-    return FinAbGroup(tuple(x for x in diag if x > 1))
+    return _shared_group(tuple(x for x in diag if x > 1))
 
 
 @lru_cache(maxsize=None)
@@ -355,7 +362,7 @@ def devg2(f: GroupHom) -> FinAbGroup:
     diag = [d[i][i] for i in range(k)]
     if any(x == 0 for x in diag):
         raise AssertionError("cokernel of a finite group must be finite")
-    return FinAbGroup(tuple(x for x in diag if x > 1))
+    return _shared_group(tuple(x for x in diag if x > 1))
 
 
 def devg(f: GroupHom) -> GroupDeviation:

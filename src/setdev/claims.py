@@ -17,6 +17,8 @@ from itertools import product
 from .abgroup import (
     MAX_HOM_ORDER,
     MAX_ORACLE_ORDER,
+    FinAbGroup,
+    GroupHom,
     devg1,
     devg1_oracle,
     devg2,
@@ -349,6 +351,24 @@ def check_group_lemma(u: Universe):
                     yield None
 
 
+# Group order bound of the claims that pair homomorphisms: T2.1 composes every
+# pair through a middle group, 495,728 pairs at order 8.
+MAX_COMPOSITION_ORDER = 8
+
+
+def _column_codes(f: GroupHom, codes: dict[tuple[int, ...], int]) -> bytes:
+    """Codes in cod(f) of the images of dom(f)'s generators, i.e. of f's columns."""
+    return bytes(codes[tuple(row[j] for row in f.matrix)] for j in range(len(f.dom.factors)))
+
+
+def _from_columns(
+    dom: FinAbGroup, cod: FinAbGroup, columns: bytes, elements: tuple[tuple[int, ...], ...]
+) -> GroupHom:
+    """The homomorphism sending generator j of dom to elements[columns[j]] in cod."""
+    rows = range(len(cod.factors))
+    return GroupHom(dom, cod, tuple(tuple(elements[col][i] for col in columns) for i in rows))
+
+
 @claim(
     "T2.1",
     "under composition the first deviation component of the composite embeds "
@@ -356,21 +376,74 @@ def check_group_lemma(u: Universe):
     "embeds in that of the composite",
 )
 def check_group_composition(u: Universe):
-    groups = enumerate_groups(min(u.max_group_order, 8))
-    for a, b in product(groups, repeat=2):
-        fs = list(enumerate_homs(a, b))
-        fdevs = [devg1(f) for f in fs]
-        for c in groups:
-            for g in enumerate_homs(b, c):
-                d2g = devg2(g)
-                for f, d1f in zip(fs, fdevs):
-                    h = f.then(g)
-                    if not embeds_in(devg1(h), d1f):
-                        yield {"f": f.to_json_dict(), "g": g.to_json_dict(), "case": "first"}
-                    elif not embeds_in(d2g, devg2(h)):
-                        yield {"f": f.to_json_dict(), "g": g.to_json_dict(), "case": "second"}
-                    else:
-                        yield None
+    # A composite f.then(g) is fixed by its generator images, which are g's
+    # table read at f's columns; each distinct composite is built once per
+    # (dom, cod) and its deviation components are kept by that code.
+    groups = enumerate_groups(min(u.max_group_order, MAX_COMPOSITION_ORDER))
+    interned = list(groups)
+    index = {x: i for i, x in enumerate(interned)}
+    embeds = [[embeds_in(x, y) for y in interned] for x in interned]
+
+    def intern(x: FinAbGroup) -> int:
+        # Only a wrong devg1 or devg2 can return a group outside the sweep;
+        # it joins the table so that embeds_in still judges it.
+        if x not in index:
+            index[x] = len(interned)
+            interned.append(x)
+            for row, y in zip(embeds, interned):
+                row.append(embeds_in(y, x))
+            embeds.append([embeds_in(x, y) for y in interned])
+        return index[x]
+
+    elements = [element_table(x).elements for x in groups]
+    codes = [{e: i for i, e in enumerate(elems)} for elems in elements]
+    # tables[b][c] and devg2s[b][c]: for each g : b -> c in order, its table
+    # on b's codes and devg2(g). Codes fit in bytes, since homomorphisms are
+    # enumerated up to order MAX_HOM_ORDER.
+    tables = [[[] for _ in groups] for _ in groups]
+    devg2s = [[[] for _ in groups] for _ in groups]
+    for b, elems in enumerate(elements):
+        for c, code_c in enumerate(codes):
+            for g in enumerate_homs(groups[b], groups[c]):
+                tables[b][c].append(bytes(code_c[g.apply(e)] for e in elems))
+                devg2s[b][c].append(intern(devg2(g)))
+    for a in groups:
+        m = len(a.factors)
+        # d1s[c][code], d2s[c][code]: devg1 and devg2 of the composite a -> c
+        # with that code.
+        d1s = [[None] * c.order() ** m for c in groups]
+        d2s = [[None] * c.order() ** m for c in groups]
+        for b, code_b in enumerate(codes):
+            # Each f : a -> b is kept as its columns and devg1(f) alone, and
+            # rebuilt from its columns when a composite or witness needs it.
+            f_columns, f_devg1 = [], []
+            for f in enumerate_homs(a, groups[b]):
+                f_columns.append(_column_codes(f, code_b))
+                f_devg1.append(intern(devg1(f)))
+            for c, code_c in enumerate(codes):
+                size, d1_known, d2_known = groups[c].order(), d1s[c], d2s[c]
+                gs = enumerate_homs(groups[b], groups[c])
+                for g, g_table, d2g in zip(gs, tables[b][c], devg2s[b][c]):
+                    for columns, d1f in zip(f_columns, f_devg1):
+                        code = 0
+                        for col in columns:
+                            code = code * size + g_table[col]
+                        d1h = d1_known[code]
+                        if d1h is None:
+                            h = _from_columns(a, groups[b], columns, elements[b]).then(g)
+                            if _column_codes(h, code_c) != bytes(g_table[col] for col in columns):
+                                raise AssertionError("composite disagrees with its generator images")
+                            d1h = d1_known[code] = intern(devg1(h))
+                            d2_known[code] = intern(devg2(h))
+                        if not embeds[d1h][d1f]:
+                            case = "first"
+                        elif not embeds[d2g][d2_known[code]]:
+                            case = "second"
+                        else:
+                            yield None
+                            continue
+                        f = _from_columns(a, groups[b], columns, elements[b])
+                        yield {"f": f.to_json_dict(), "g": g.to_json_dict(), "case": case}
 
 
 @claim(
@@ -382,7 +455,7 @@ def check_group_composition(u: Universe):
 )
 def check_devg2_incomparable(u: Universe):
     first = second = None
-    for x in enumerate_groups(min(u.max_group_order, 8)):
+    for x in enumerate_groups(min(u.max_group_order, MAX_COMPOSITION_ORDER)):
         homs = list(enumerate_homs(x, x))
         for f in homs:
             d2f = devg2(f)

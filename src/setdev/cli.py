@@ -28,6 +28,8 @@ def _parse_json(literal: str) -> object:
         return json.loads(literal)
     except json.JSONDecodeError as exc:
         raise CliError(f"parse error at position {exc.pos}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise CliError("parse error: literal nests too deeply") from exc
 
 
 def _parse_mapping(literal: str) -> Mapping:

@@ -27,7 +27,7 @@ def _is_int(value: object) -> bool:
     return type(value) is int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteSet:
     """Canonical carrier {0, ..., size-1} with optional display labels."""
 
@@ -50,7 +50,7 @@ class FiniteSet:
         return self.labels[x] if self.labels is not None else str(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubsetOf:
     """Subset of a finite carrier, stored as a bitmask over element indices."""
 
@@ -95,7 +95,7 @@ class SubsetOf:
         return list(self.elements())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """Partition of a finite carrier into nonempty disjoint covering blocks.
 
@@ -132,12 +132,6 @@ class Partition:
             key=lambda s: s.bits & -s.bits,
         )
         return cls(base, tuple(subs))
-
-    def block_index(self, x: int) -> int:
-        for i, blk in enumerate(self.blocks):
-            if x in blk:
-                return i
-        raise ValueError(f"element {x} outside carrier of size {self.base.size}")
 
     def to_lists(self) -> list[list[int]]:
         return [blk.to_list() for blk in self.blocks]
@@ -183,7 +177,7 @@ def all_partitions(base: FiniteSet) -> Iterator[Partition]:
     yield from rec(1, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mapping:
     """Total mapping between finite carriers, tabulated on the domain."""
 
@@ -241,7 +235,7 @@ class Mapping:
         return len(set(self.table)) <= 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Deviation:
     """How far a mapping is from a bijection.
 
@@ -254,7 +248,7 @@ class Deviation:
     missed: SubsetOf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Factorization:
     """Surjection-bijection-injection factorization of a mapping.
 
@@ -272,7 +266,7 @@ class Factorization:
         return self.proj.then(self.mid).then(self.incl)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Classification:
     injective: bool
     surjective: bool

@@ -85,6 +85,12 @@ def kappa(f: Mapping) -> Mapping:
     every f.
     """
     img = image(f).elements()
-    part = kernel_partition(preimage_map(f))
-    table = tuple(part.block_index(u) for u in _unions([1 << y for y in img]))
+    pre = preimage_map(f)
+    part = kernel_partition(pre)
+    # Each block is one fibre of the preimage map, so the preimage of its
+    # lowest member names it.
+    block_of = {
+        pre.table[(blk.bits & -blk.bits).bit_length() - 1]: i for i, blk in enumerate(part.blocks)
+    }
+    table = tuple(block_of[pre.table[u]] for u in _unions([1 << y for y in img]))
     return Mapping(power_set(FiniteSet(len(img))), FiniteSet(len(part.blocks)), table)

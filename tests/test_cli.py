@@ -1,7 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import setdev
 from setdev.cli import main
 
 
@@ -213,3 +221,64 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["flags"] == ["injective", "surjective", "bijective"]
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(setdev.__file__).resolve().parents[1]))
+
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "setdev", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+
+    ok = run_module("group", '{"dom":[4],"cod":[4],"matrix":[[2]]}')
+    assert ok.returncode == 0
+    assert "devg1 (domain / kernel): [2]" in ok.stdout
+    assert run_module("verify", "--nope").returncode == 2
+
+
+_SCALARS = st.one_of(
+    st.integers(min_value=-2, max_value=9),
+    st.booleans(),
+    st.floats(width=16),
+    st.text(max_size=3),
+    st.none(),
+)
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+_KEYS = st.sampled_from(["dom", "cod", "table", "matrix", "points"])
+_LITERALS = st.one_of(
+    # Near-valid mapping and hom literals, so that most reach the commands.
+    st.fixed_dictionaries(
+        {
+            "dom": st.integers(0, 4),
+            "cod": st.integers(0, 4),
+            "table": st.lists(st.integers(-1, 4), max_size=5),
+        }
+    ).map(json.dumps),
+    st.fixed_dictionaries(
+        {
+            "dom": st.lists(st.sampled_from([0, 1, 2, 3, 4, 6, 8]), max_size=3),
+            "cod": st.lists(st.sampled_from([0, 1, 2, 3, 4, 6, 8]), max_size=3),
+            "matrix": st.lists(st.lists(st.integers(-1, 8), max_size=3), max_size=3),
+        }
+    ).map(json.dumps),
+    st.dictionaries(_KEYS, _VALUES, max_size=4).map(json.dumps),
+    _VALUES.map(json.dumps),
+    st.text(max_size=12),
+    # Deep nesting exhausts the JSON decoder's recursion limit.
+    st.integers(0, 50_000).map(lambda depth: "[" * depth + "]" * depth),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["dev", "factor", "group", "chu"]), literal=_LITERALS)
+def test_literal_fuzz_exits_cleanly(command, literal):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, literal])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

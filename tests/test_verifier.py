@@ -1,10 +1,13 @@
 import hashlib
 import importlib
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
 
+from setdev import claims
+from setdev.abgroup import FinAbGroup, GroupHom, enumerate_groups, enumerate_homs
 from setdev.finset import FiniteSet
 from setdev.verifier import (
     Universe,
@@ -165,6 +168,52 @@ def test_benchmark_tracer_names_resolve():
     for layer, attr in hooks:
         holder, name = tracer["_resolve"](importlib.import_module(f"setdev.{layer}"), attr)
         assert hasattr(holder, name), f"setdev.{layer}.{attr}"
+
+
+def _composition_reference(universe):
+    """T2.1 as the plain loop over every composite: (first witness, instances)."""
+    groups = enumerate_groups(min(universe.max_group_order, claims.MAX_COMPOSITION_ORDER))
+    instances = 0
+    for a, b in product(groups, repeat=2):
+        fs = list(enumerate_homs(a, b))
+        for c in groups:
+            for g in enumerate_homs(b, c):
+                for f in fs:
+                    instances += 1
+                    h = f.then(g)
+                    if not claims.embeds_in(claims.devg1(h), claims.devg1(f)):
+                        return {"f": f.to_json_dict(), "g": g.to_json_dict(), "case": "first"}, instances
+                    if not claims.embeds_in(claims.devg2(g), claims.devg2(h)):
+                        return {"f": f.to_json_dict(), "g": g.to_json_dict(), "case": "second"}, instances
+    return None, instances
+
+
+@pytest.mark.parametrize(
+    "name, lie",
+    # Z/4 and the trivial group are swept groups; Z/16 is above every group
+    # the sweep indexes.
+    [
+        ("devg1", FinAbGroup((4,))),
+        ("devg1", FinAbGroup((16,))),
+        ("devg2", FinAbGroup(())),
+        ("devg2", FinAbGroup((16,))),
+    ],
+    ids=["devg1-Z4", "devg1-Z16", "devg2-0", "devg2-Z16"],
+)
+def test_group_composition_refutes_a_wrong_deviation(monkeypatch, name, lie):
+    # The lie is told about one composite, which is also an inner and an
+    # outer map in its own right. Composites sharing either of its columns
+    # come before it, so a lookup keyed by fewer than all columns misses it.
+    two = FinAbGroup((2, 2))
+    target = GroupHom(two, two, ((1, 1), (1, 1)))
+    honest = getattr(claims, name)
+    monkeypatch.setattr(claims, name, lambda f: lie if f == target else honest(f))
+    universe = Universe(max_group_order=4)
+    witness, instances = _composition_reference(universe)
+    report = check_claim("T2.1", universe)
+    assert witness is not None
+    assert report.verdict == VERDICT_REFUTED
+    assert (report.witness, report.instances) == (witness, instances)
 
 
 def test_reports_are_deterministic():
