@@ -9,9 +9,9 @@ an integer matrix M with k rows and m columns, entries reduced mod b_i
 row-wise, subject to the well-definedness condition b_i | a_j * M[i][j].
 
 The deviation of a homomorphism f : X -> Y is the pair of abstract groups
-(X / ker f, Y / f(X)). Both are computed through Smith normal form of small
-integer matrices; an independent element-table route (explicit coset
-counting) is provided as an oracle for the same quantities.
+(X / ker f, Y / f(X)). Both are read off one Smith normal form, the first as
+the isomorphic image f(X); an independent element-table route (explicit
+coset counting, via ker f) is provided as an oracle for the same quantities.
 
 Deviations are ordered by embeddability. The first components compare
 contravariantly: a finer kernel leaves a larger quotient, so "f deviates no
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd, prod
-from typing import Iterable, Iterator
+from typing import Iterator
 
 MAX_HOM_ORDER = 16
 MAX_TABLE_ORDER = 4096
@@ -54,11 +54,6 @@ class FinAbGroup:
     def is_trivial(self) -> bool:
         return not self.factors
 
-    def __str__(self) -> str:
-        if not self.factors:
-            return "0"
-        return " + ".join(f"Z/{d}" for d in self.factors)
-
 
 TRIVIAL_GROUP = FinAbGroup(())
 
@@ -74,17 +69,6 @@ def _factorint(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def canonical(cyclic_orders: Iterable[int] = ()) -> FinAbGroup:
-    """Invariant factors of a direct sum of cyclic groups of the given orders."""
-    exps: dict[int, list[int]] = {}
-    for d in cyclic_orders:
-        if d < 1:
-            raise ValueError("cyclic orders must be positive")
-        for p, e in _factorint(d).items():
-            exps.setdefault(p, []).append(e)
-    return _combine_prime_exponents(exps)
 
 
 def _combine_prime_exponents(exps: dict[int, list[int]]) -> FinAbGroup:
@@ -133,15 +117,6 @@ class GroupHom:
                     raise ValueError(
                         f"matrix[{i}][{j}] = {entry} is not well-defined: {b} does not divide {a}*{entry}"
                     )
-
-    @classmethod
-    def identity(cls, group: FinAbGroup) -> GroupHom:
-        k = len(group.factors)
-        return cls(group, group, tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k)))
-
-    @classmethod
-    def zero(cls, dom: FinAbGroup, cod: FinAbGroup) -> GroupHom:
-        return cls(dom, cod, tuple((0,) * len(dom.factors) for _ in cod.factors))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> GroupHom:
@@ -233,8 +208,8 @@ def smith_normal_form(
         for r in v:
             r[dst] += mult * r[src]
 
-    t = 0
-    while t < min(k, n):
+    def move_pivot(t: int) -> bool:
+        # Bring the smallest nonzero entry of the trailing block to (t, t).
         pivot = None
         best = None
         for i in range(t, k):
@@ -244,9 +219,15 @@ def smith_normal_form(
                     best = val
                     pivot = (i, j)
         if pivot is None:
-            break
+            return False
         swap_rows(t, pivot[0])
         swap_cols(t, pivot[1])
+        return True
+
+    t = 0
+    while t < min(k, n):
+        if not move_pivot(t):
+            break
 
         while True:
             residue = False
@@ -264,16 +245,7 @@ def smith_normal_form(
                     residue = True
             if residue:
                 # Some remainder is smaller than the pivot; re-pick it.
-                pivot = None
-                best = None
-                for i in range(t, k):
-                    for j in range(t, n):
-                        val = abs(rows[i][j])
-                        if val and (best is None or val < best):
-                            best = val
-                            pivot = (i, j)
-                swap_rows(t, pivot[0])
-                swap_cols(t, pivot[1])
+                move_pivot(t)
                 continue
             bad = None
             for i in range(t + 1, k):
@@ -295,22 +267,6 @@ def smith_normal_form(
     return u, d, v
 
 
-def integer_kernel_basis(mat: list[list[int]]) -> list[list[int]]:
-    """Columns spanning the integer kernel of the matrix."""
-    k = len(mat)
-    n = len(mat[0]) if k else 0
-    if n == 0:
-        return []
-    if k == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    _, d, v = smith_normal_form(mat)
-    basis = []
-    for j in range(n):
-        if j >= min(k, n) or d[j][j] == 0:
-            basis.append([v[i][j] for i in range(n)])
-    return basis
-
-
 @lru_cache(maxsize=None)
 def _shared_group(factors: tuple[int, ...]) -> FinAbGroup:
     # One object per isomorphism class, so the memo caches below hold a
@@ -318,50 +274,43 @@ def _shared_group(factors: tuple[int, ...]) -> FinAbGroup:
     return FinAbGroup(factors)
 
 
-@lru_cache(maxsize=None)
-def devg1(f: GroupHom) -> FinAbGroup:
-    """Invariant factors of dom(f) / ker(f).
+def _cokernel_form(f: GroupHom) -> tuple[list[list[int]], list[int]]:
+    """(U, D) with U [M | diag(b)] V = [diag(D) | 0], b the codomain factors.
 
-    The kernel pulls back to the lattice of integer vectors v with
-    M v = diag(cod factors) w for some w; that lattice is the projection of
-    the integer kernel of the block matrix [M | -diag(b)].
+    [M | diag(b)] spans the lattice L of vectors whose class lies in
+    image(f), so cod(f) / image(f) = Z^k / L has invariant factors D.
     """
-    m = len(f.dom.factors)
     k = len(f.cod.factors)
-    if m == 0:
-        return TRIVIAL_GROUP
     block = [
-        [f.matrix[i][j] for j in range(m)]
-        + [-f.cod.factors[i] if c == i else 0 for c in range(k)]
+        list(f.matrix[i]) + [f.cod.factors[i] if c == i else 0 for c in range(k)]
         for i in range(k)
     ]
-    basis = integer_kernel_basis(block) if k else [
-        [1 if i == j else 0 for i in range(m)] for j in range(m)
-    ]
-    gens = [[vec[j] for vec in basis] for j in range(m)]
-    _, d, _ = smith_normal_form(gens)
-    diag = [d[i][i] for i in range(min(m, len(basis)))]
-    if len(diag) < m or any(x == 0 for x in diag):
-        raise AssertionError("kernel lattice must have full rank")
-    return _shared_group(tuple(x for x in diag if x > 1))
+    u, d, _ = smith_normal_form(block)
+    diag = [d[i][i] for i in range(k)]
+    if any(x == 0 for x in diag):
+        raise AssertionError("cokernel of a finite group must be finite")
+    return u, diag
+
+
+@lru_cache(maxsize=None)
+def devg1(f: GroupHom) -> FinAbGroup:
+    """Invariant factors of dom(f) / ker(f), computed as those of image(f).
+
+    With (U, D) from the cokernel form, the columns of U^-1 diag(D) are a
+    basis of L, and image(f) = L / diag(b) Z^k. In that basis diag(b) Z^k
+    is spanned by the columns of the integer matrix X = diag(D)^-1 U diag(b),
+    so image(f) = Z^k / X Z^k.
+    """
+    u, diag = _cokernel_form(f)
+    x = [[uij * b // di for uij, b in zip(row, f.cod.factors)] for row, di in zip(u, diag)]
+    _, d, _ = smith_normal_form(x)
+    return _shared_group(tuple(row[i] for i, row in enumerate(d) if row[i] > 1))
 
 
 @lru_cache(maxsize=None)
 def devg2(f: GroupHom) -> FinAbGroup:
     """Invariant factors of the cokernel cod(f) / image(f)."""
-    m = len(f.dom.factors)
-    k = len(f.cod.factors)
-    if k == 0:
-        return TRIVIAL_GROUP
-    block = [
-        [f.matrix[i][j] for j in range(m)]
-        + [f.cod.factors[i] if c == i else 0 for c in range(k)]
-        for i in range(k)
-    ]
-    _, d, _ = smith_normal_form(block)
-    diag = [d[i][i] for i in range(k)]
-    if any(x == 0 for x in diag):
-        raise AssertionError("cokernel of a finite group must be finite")
+    _, diag = _cokernel_form(f)
     return _shared_group(tuple(x for x in diag if x > 1))
 
 
@@ -432,7 +381,7 @@ def _quotient_invariants(table: ElementTable, subgroup: frozenset) -> FinAbGroup
             prev_s = s
             k += 1
         # Conjugate of the level profile gives the exponent partition.
-        exps[p] = [sum(1 for c in conj if c >= i) for i in range(1, conj[0] + 1)]
+        exps[p] = _conjugate_partition(conj)
     return _combine_prime_exponents(exps)
 
 
@@ -544,15 +493,13 @@ def embeds_in_oracle(a: FinAbGroup, b: FinAbGroup) -> bool:
     return extend(0, frozenset({tb.zero()}))
 
 
-def devg_leq(f: GroupHom, g: GroupHom) -> bool:
-    """Deviation order on homomorphisms sharing a signature.
+def devg_leq(d: GroupDeviation, e: GroupDeviation) -> bool:
+    """Deviation order on group deviations.
 
-    First components compare contravariantly (g's quotient embeds into f's),
+    First components compare contravariantly (e's quotient embeds into d's),
     second components covariantly.
     """
-    if f.dom != g.dom or f.cod != g.cod:
-        raise ValueError("group deviations compare only across a shared signature")
-    return embeds_in(devg1(g), devg1(f)) and embeds_in(devg2(f), devg2(g))
+    return embeds_in(e.first, d.first) and embeds_in(d.second, e.second)
 
 
 def enumerate_homs(dom: FinAbGroup, cod: FinAbGroup) -> Iterator[GroupHom]:

@@ -17,12 +17,15 @@ from itertools import product
 from .abgroup import (
     MAX_HOM_ORDER,
     MAX_ORACLE_ORDER,
+    TRIVIAL_GROUP,
     FinAbGroup,
+    GroupDeviation,
     GroupHom,
     devg1,
     devg1_oracle,
     devg2,
     devg2_oracle,
+    devg_leq,
     element_table,
     embeds_in,
     embeds_in_oracle,
@@ -41,6 +44,7 @@ from .chu import (
     morphism_is_valid,
 )
 from .finset import (
+    Deviation,
     FiniteSet,
     Mapping,
     SubsetOf,
@@ -49,6 +53,7 @@ from .finset import (
     classify,
     discrete,
     deviation,
+    deviation_leq,
     image,
     indiscrete,
     kernel_partition,
@@ -66,6 +71,13 @@ from .verifier import (
     size_pairs,
     size_triples,
 )
+
+# Group order bound of the claims that pair homomorphisms: T2.1 composes every
+# pair through a middle group, 495,728 pairs at order 8.
+MAX_COMPOSITION_ORDER = 8
+# Powerset base bound, below max_powerset_base, of T3.1-T3.3, 3.44-* and the
+# Chu claims, which tabulate several subset maps per mapping or pair them.
+MAX_EXTENSION_BASE = 3
 
 
 # --- direct definitional checks (the independent side of cross-checks) ----
@@ -186,23 +198,18 @@ def check_partition_order(u: Universe):
 )
 def check_least_deviation(u: Universe):
     for nx, ny in size_pairs(u.max_set_size):
-        x = FiniteSet(nx)
-        maps = list(enumerate_mappings(x, FiniteSet(ny)))
+        x, y = FiniteSet(nx), FiniteSet(ny)
+        maps = list(enumerate_mappings(x, y))
         parts = [kernel_partition(f) for f in maps]
         imgs = [image(f).bits for f in maps]
-        distinct_parts = set(parts)
-        distinct_imgs = set(imgs)
-        bottom = discrete(x)
         full = (1 << ny) - 1
+        least = Deviation(discrete(x), SubsetOf(y))
+        devs = {Deviation(part, SubsetOf(y, full ^ img)) for part, img in zip(parts, imgs)}
+        least_is_below_all = all(deviation_leq(least, d) for d in devs)
         for f, part, img in zip(maps, parts, imgs):
             bij = _inj_direct(f) and _surj_direct(f)
-            least = (
-                part == bottom
-                and img == full
-                and all(partition_leq(part, p) for p in distinct_parts)
-                and all(other & ~img == 0 for other in distinct_imgs)
-            )
-            yield None if bij == least else _pair_witness(nx, ny, f)
+            is_least = part == least.part and img == full and least_is_below_all
+            yield None if bij == is_least else _pair_witness(nx, ny, f)
 
 
 @claim(
@@ -330,8 +337,9 @@ def check_group_lemma(u: Universe):
             homs = list(enumerate_homs(a, b))
             d1s = [devg1(f) for f in homs]
             d2s = [devg2(f) for f in homs]
-            distinct1 = set(d1s)
-            distinct2 = set(d2s)
+            least = GroupDeviation(a, TRIVIAL_GROUP)
+            devs = {GroupDeviation(d1, d2) for d1, d2 in zip(d1s, d2s)}
+            least_is_below_all = all(devg_leq(least, d) for d in devs)
             zero_b = (0,) * len(b.factors)
             for f, d1, d2 in zip(homs, d1s, d2s):
                 inj = all(f.apply(e) != zero_b for e in nonzero)
@@ -340,20 +348,10 @@ def check_group_lemma(u: Universe):
                     yield {"hom": f.to_json_dict(), "case": "surjective"}
                 elif inj != (d1 == a):
                     yield {"hom": f.to_json_dict(), "case": "injective"}
-                elif (inj and surj) != (
-                    d1 == a
-                    and d2.is_trivial()
-                    and all(embeds_in(other, d1) for other in distinct1)
-                    and all(embeds_in(d2, other) for other in distinct2)
-                ):
+                elif (inj and surj) != (d1 == a and d2.is_trivial() and least_is_below_all):
                     yield {"hom": f.to_json_dict(), "case": "isomorphism"}
                 else:
                     yield None
-
-
-# Group order bound of the claims that pair homomorphisms: T2.1 composes every
-# pair through a middle group, 495,728 pairs at order 8.
-MAX_COMPOSITION_ORDER = 8
 
 
 def _column_codes(f: GroupHom, codes: dict[tuple[int, ...], int]) -> bytes:
@@ -607,7 +605,7 @@ def _missed_mask(g: Mapping) -> int:
     "(with the extension's missed set in computed form)",
 )
 def check_theorem_injective(u: Universe):
-    for nx, ny, f in mappings(min(u.max_powerset_base, 3)):
+    for nx, ny, f in mappings(min(u.max_powerset_base, MAX_EXTENSION_BASE)):
         tilde = direct_image_map(f)
         pre = preimage_map(f)
         items = (
@@ -624,7 +622,7 @@ def check_theorem_injective(u: Universe):
 
 @claim("T3.2", "six characterizations of surjectivity coincide")
 def check_theorem_surjective(u: Universe):
-    for nx, ny, f in mappings(min(u.max_powerset_base, 3)):
+    for nx, ny, f in mappings(min(u.max_powerset_base, MAX_EXTENSION_BASE)):
         tilde = direct_image_map(f)
         pre = preimage_map(f)
         items = (
@@ -640,7 +638,7 @@ def check_theorem_surjective(u: Universe):
 
 @claim("T3.3", "six characterizations of bijectivity coincide")
 def check_theorem_bijective(u: Universe):
-    for nx, ny, f in mappings(min(u.max_powerset_base, 3)):
+    for nx, ny, f in mappings(min(u.max_powerset_base, MAX_EXTENSION_BASE)):
         tilde = direct_image_map(f)
         pre = preimage_map(f)
         items = (
@@ -671,7 +669,7 @@ def check_tilde_deviation_literal(u: Universe):
     both nonempty, since any subset straddling the two is missed but not
     claimed.
     """
-    for nx, ny, f in mappings(min(u.max_powerset_base, 3)):
+    for nx, ny, f in mappings(min(u.max_powerset_base, MAX_EXTENSION_BASE)):
         tilde = direct_image_map(f)
         comp = image(f).complement().bits
         claimed = sum(1 << b for b in range(1, 1 << ny) if b & ~comp == 0)
@@ -695,7 +693,7 @@ def check_tilde_deviation_literal(u: Universe):
     "contained in the image",
 )
 def check_tilde_deviation_computed(u: Universe):
-    for nx, ny, f in mappings(min(u.max_powerset_base, 3)):
+    for nx, ny, f in mappings(min(u.max_powerset_base, MAX_EXTENSION_BASE)):
         if _inj_direct(f):
             ok = _missed_mask(direct_image_map(f)) == _tilde_missed_expected(f)
             yield None if ok else _pair_witness(nx, ny, f)
@@ -772,7 +770,7 @@ def _valid_morphisms(src: ChuSpace, dst: ChuSpace) -> list[ChuMorphism]:
     "valid, and composition is associative",
 )
 def check_chu_category_laws(u: Universe):
-    bound = min(u.max_powerset_base, 3)
+    bound = min(u.max_powerset_base, MAX_EXTENSION_BASE)
     pool = _random_chu_pool()
     for sp in [e_space(FiniteSet(n)) for n in range(bound + 1)] + pool:
         valid_identity = morphism_is_valid(identity_morphism(sp), sp, sp)
@@ -824,7 +822,7 @@ def check_chu_category_laws(u: Universe):
 
 @claim("E-functoriality", "embedding a composite equals composing the embeddings")
 def check_embedding_functorial(u: Universe):
-    for nx, ny, nz in size_triples(min(u.max_powerset_base, 3)):
+    for nx, ny, nz in size_triples(min(u.max_powerset_base, MAX_EXTENSION_BASE)):
         y = FiniteSet(ny)
         for f in enumerate_mappings(FiniteSet(nx), y):
             ef = embed(f)
@@ -837,7 +835,7 @@ def check_embedding_functorial(u: Universe):
 def check_embedding_faithful(u: Universe):
     # Equal morphisms have equal carriers, so one table serves every signature.
     seen: dict[ChuMorphism, Mapping] = {}
-    for nx, ny, f in mappings(min(u.max_powerset_base, 3)):
+    for nx, ny, f in mappings(min(u.max_powerset_base, MAX_EXTENSION_BASE)):
         m = embed(f)
         if m in seen:
             yield {"x_size": nx, "y_size": ny, "f": seen[m].to_json_dict(), "g": f.to_json_dict()}
@@ -854,7 +852,7 @@ def check_embedding_faithful(u: Universe):
 def check_embedding_full(u: Universe):
     # forced_backward solves adjointness for each target state; a unique
     # solution everywhere means f has exactly one valid backward map.
-    for nx, ny, f in mappings(min(u.max_powerset_base, 3)):
+    for nx, ny, f in mappings(min(u.max_powerset_base, MAX_EXTENSION_BASE)):
         backward = forced_backward(f)
         ok = backward is not None and ChuMorphism(f, backward) == embed(f)
         yield None if ok else _pair_witness(nx, ny, f)

@@ -13,10 +13,14 @@ import sys
 
 from .abgroup import GroupHom, devg
 from .chu import e_space, embed, ex_deviation, morphism_is_valid
-from .finset import Mapping, canonical_factorization, classify, deviation
+from .finset import Mapping, canonical_factorization, classify, deviation, kernel_partition
+from .powerset import MAX_BASE
 from .verifier import Universe, check_claim, machine_records, registry, text_report
 
 USAGE_ERROR = 2
+# Largest domain or codomain of a mapping literal, since output grows with
+# them: the largest carrier the library tabulates, a powerset over MAX_BASE.
+MAX_CARRIER = 1 << MAX_BASE
 
 
 class CliError(Exception):
@@ -35,9 +39,12 @@ def _parse_json(literal: str) -> object:
 def _parse_mapping(literal: str) -> Mapping:
     data = _parse_json(literal)
     try:
-        return Mapping.from_json_dict(data)
+        f = Mapping.from_json_dict(data)
     except (ValueError, TypeError, KeyError) as exc:
         raise CliError(f"invalid mapping literal: {exc}") from exc
+    if f.dom.size > MAX_CARRIER or f.cod.size > MAX_CARRIER:
+        raise CliError(f"mapping carriers are capped at {MAX_CARRIER} elements")
+    return f
 
 
 def _parse_hom(literal: str) -> GroupHom:
@@ -101,11 +108,11 @@ def _dot_deviation(f: Mapping) -> str:
         lines.append(f"  subgraph cluster_block{i} {{")
         lines.append(f'    label="block {i}";')
         for x in blk.elements():
-            lines.append(f'    x{x} [label="{f.dom.label(x)}"];')
+            lines.append(f'    x{x} [label="{x}"];')
         lines.append("  }")
     for y in range(f.cod.size):
         style = " style=dashed" if y in dev.missed else ""
-        lines.append(f'  y{y} [label="{f.cod.label(y)}" shape=box{style}];')
+        lines.append(f'  y{y} [label="{y}" shape=box{style}];')
     for x, y in enumerate(f.table):
         lines.append(f"  x{x} -> y{y};")
     lines.append("}")
@@ -162,12 +169,13 @@ def cmd_factor(args: argparse.Namespace) -> int:
         }
         _emit(json.dumps(record, sort_keys=True) + "\n", args.output)
     else:
+        blocks = ("{" + ",".join(map(str, blk)) + "}" for blk in kernel_partition(f).to_lists())
         out = [
             f"mapping: {json.dumps(f.to_json_dict())}",
             f"proj (surjection): {json.dumps(fact.proj.to_json_dict())}",
             f"mid  (bijection) : {json.dumps(fact.mid.to_json_dict())}",
             f"incl (injection) : {json.dumps(fact.incl.to_json_dict())}",
-            f"blocks: {', '.join(fact.proj.cod.labels or ())}",
+            f"blocks: {', '.join(blocks)}",
         ]
         _emit("\n".join(out) + "\n", args.output)
     return 0

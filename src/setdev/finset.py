@@ -1,7 +1,6 @@
 """Finite sets, mappings, partitions, and deviations from bijectivity.
 
-The carrier of a finite set of size n is canonically the integers 0..n-1;
-optional labels are presentation-only and never enter equality. All values
+The carrier of a finite set of size n is the integers 0..n-1. All values
 are immutable and every operation is a pure function of its inputs, so
 values can be shared and evaluated concurrently without coordination.
 
@@ -18,7 +17,7 @@ two is the deviation of f, and every mapping factors as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -29,25 +28,13 @@ def _is_int(value: object) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class FiniteSet:
-    """Canonical carrier {0, ..., size-1} with optional display labels."""
+    """Canonical carrier {0, ..., size-1}."""
 
     size: int
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.size < 0:
             raise ValueError(f"size must be non-negative, got {self.size}")
-        if self.labels is not None:
-            if len(self.labels) != self.size:
-                raise ValueError("need exactly one label per element")
-            if len(set(self.labels)) != len(self.labels):
-                raise ValueError("labels must be pairwise distinct")
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def label(self, x: int) -> str:
-        return self.labels[x] if self.labels is not None else str(x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,10 +217,6 @@ class Mapping:
     def is_bijective(self) -> bool:
         return self.is_injective() and self.is_surjective()
 
-    def is_constant(self) -> bool:
-        # Vacuously true on the empty domain.
-        return len(set(self.table)) <= 1
-
 
 @dataclass(frozen=True, slots=True)
 class Deviation:
@@ -305,11 +288,8 @@ def canonical_factorization(f: Mapping) -> Factorization:
         for x in blk.elements():
             block_of[x] = i
 
-    block_labels = tuple(
-        "{" + ",".join(f.dom.label(x) for x in blk.elements()) + "}" for blk in part.blocks
-    )
-    quotient = FiniteSet(len(part.blocks), labels=block_labels)
-    img_set = FiniteSet(len(img), labels=tuple(f.cod.label(y) for y in img))
+    quotient = FiniteSet(len(part.blocks))
+    img_set = FiniteSet(len(img))
 
     proj = Mapping(f.dom, quotient, tuple(block_of))
     mid_table = tuple(positions[f.table[blk.elements()[0]]] for blk in part.blocks)
@@ -351,14 +331,13 @@ def partition_leq(p: Partition, q: Partition) -> bool:
     return True
 
 
-def deviation_leq(f: Mapping, g: Mapping) -> bool:
-    """Compare deviations of two mappings sharing a signature.
+def deviation_leq(d: Deviation, e: Deviation) -> bool:
+    """Compare two deviations of mappings sharing a signature.
 
-    True iff the kernel partition of f refines that of g and f misses no
-    codomain element that g reaches.
+    True iff the kernel partition of d refines that of e and d misses no
+    codomain element that e reaches.
     """
-    if f.dom != g.dom or f.cod != g.cod:
+    # Checked up front: a failed refinement would skip the codomain check.
+    if d.part.base != e.part.base or d.missed.base != e.missed.base:
         raise ValueError("deviations compare only across a shared domain and codomain")
-    if not partition_leq(kernel_partition(f), kernel_partition(g)):
-        return False
-    return image(g).issubset(image(f))
+    return partition_leq(d.part, e.part) and d.missed.issubset(e.missed)

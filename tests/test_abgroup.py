@@ -8,7 +8,7 @@ from setdev.abgroup import (
     FinAbGroup,
     GroupHom,
     TRIVIAL_GROUP,
-    canonical,
+    GroupDeviation,
     devg,
     devg1,
     devg1_oracle,
@@ -61,13 +61,6 @@ def test_invariant_factor_validation():
     with pytest.raises(ValueError):
         FinAbGroup((1, 2))
     assert TRIVIAL_GROUP.order() == 1
-
-
-def test_canonical_recombination():
-    assert canonical([2, 3]) == FinAbGroup((6,))
-    assert canonical([4, 2]) == FinAbGroup((2, 4))
-    assert canonical([2, 2, 3]) == FinAbGroup((2, 6))
-    assert canonical([1, 1]) == TRIVIAL_GROUP
 
 
 def test_element_table_examples():
@@ -173,22 +166,32 @@ def test_enumerate_groups():
 
 def test_devg_examples():
     z4 = FinAbGroup((4,))
-    zero = GroupHom.zero(z4, z4)
+    zero = GroupHom(z4, z4, ((0,),))
     assert devg1(zero) == TRIVIAL_GROUP and devg2(zero) == z4
 
-    ident = GroupHom.identity(FinAbGroup((6,)))
+    ident = GroupHom(FinAbGroup((6,)), FinAbGroup((6,)), ((1,),))
     assert devg1(ident) == FinAbGroup((6,)) and devg2(ident) == TRIVIAL_GROUP
 
     mult2 = GroupHom(z4, z4, ((2,),))
     assert devg(mult2).first == FinAbGroup((2,))
     assert devg(mult2).second == FinAbGroup((2,))
 
-    ident24 = GroupHom.identity(FinAbGroup((2, 4)))
+    z2z4 = FinAbGroup((2, 4))
+    ident24 = GroupHom(z2z4, z2z4, ((1, 0), (0, 1)))
     assert devg(ident24).first == FinAbGroup((2, 4))
     assert devg(ident24).second == TRIVIAL_GROUP
 
-    zero2 = GroupHom.zero(FinAbGroup((2,)), FinAbGroup((2,)))
+    zero2 = GroupHom(FinAbGroup((2,)), FinAbGroup((2,)), ((0,),))
     assert devg(zero2).first == TRIVIAL_GROUP and devg(zero2).second == FinAbGroup((2,))
+
+    # Image {0} + 2Z/8, cyclic of order 4, so the cokernel is Z/2 + Z/2.
+    into_z8 = GroupHom(z2z4, FinAbGroup((2, 8)), ((0, 0), (4, 2)))
+    assert devg(into_z8) == GroupDeviation(z4, FinAbGroup((2, 2)))
+
+    into_trivial = GroupHom(z4, TRIVIAL_GROUP, ())
+    assert devg(into_trivial) == GroupDeviation(TRIVIAL_GROUP, TRIVIAL_GROUP)
+    from_trivial = GroupHom(TRIVIAL_GROUP, z4, ((),))
+    assert devg(from_trivial) == GroupDeviation(TRIVIAL_GROUP, z4)
 
     incl = GroupHom(FinAbGroup((2,)), z4, ((2,),))
     assert devg(incl).first == FinAbGroup((2,)) and devg(incl).second == FinAbGroup((2,))
@@ -204,15 +207,18 @@ def test_devg_oracle_agreement_small():
 
 
 def test_devg_leq_examples():
-    z2 = FinAbGroup((2,))
-    ident = GroupHom.identity(z2)
-    zero = GroupHom.zero(z2, z2)
+    z2, z4 = FinAbGroup((2,)), FinAbGroup((4,))
+    ident = devg(GroupHom(z2, z2, ((1,),)))
+    zero = devg(GroupHom(z2, z2, ((0,),)))
     for g in enumerate_homs(z2, z2):
-        assert devg_leq(ident, g)
-        assert devg_leq(g, g)
+        assert devg_leq(ident, devg(g))
+        assert devg_leq(devg(g), devg(g))
     assert not devg_leq(zero, ident)
-    with pytest.raises(ValueError):
-        devg_leq(ident, GroupHom.zero(z2, FinAbGroup((4,))))
+    # Endomorphisms of Z/4: the identity lies below doubling, which lies
+    # below zero, and not the other way round.
+    double = devg(GroupHom(z4, z4, ((2,),)))
+    zero4 = devg(GroupHom(z4, z4, ((0,),)))
+    assert devg_leq(double, zero4) and not devg_leq(zero4, double)
 
 
 # --- embeddability ---------------------------------------------------------------

@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import setdev
-from setdev.cli import main
+from setdev.cli import MAX_CARRIER, main
 
 
 def run(capsys, *argv):
@@ -86,8 +87,26 @@ def test_dev_dot(capsys):
 def test_factor(capsys):
     code, out, _ = run(capsys, "factor", '{"dom":3,"cod":3,"table":[0,0,2]}')
     assert code == 0
-    assert '"table": [0, 0, 1]' in out
-    assert '"table": [0, 2]' in out
+    assert out == (
+        'mapping: {"dom": 3, "cod": 3, "table": [0, 0, 2]}\n'
+        'proj (surjection): {"dom": 3, "cod": 2, "table": [0, 0, 1]}\n'
+        'mid  (bijection) : {"dom": 2, "cod": 2, "table": [0, 1]}\n'
+        'incl (injection) : {"dom": 2, "cod": 3, "table": [0, 2]}\n'
+        "blocks: {0,1}, {2}\n"
+    )
+
+
+@pytest.mark.parametrize("command", [("dev",), ("dev", "--dot"), ("factor",)])
+def test_mapping_carriers_are_capped(capsys, command):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *command, '{"dom":1,"cod":100000000,"table":[0]}')
+    assert code == 2
+    assert f"capped at {MAX_CARRIER}" in err
+    assert time.perf_counter() - start < 1.0
+    code, _, _ = run(capsys, *command, json.dumps({"dom": 1, "cod": MAX_CARRIER + 1, "table": [0]}))
+    assert code == 2
+    code, out, _ = run(capsys, *command, json.dumps({"dom": 1, "cod": MAX_CARRIER, "table": [0]}))
+    assert code == 0 and out
 
 
 def test_group_identity(capsys):

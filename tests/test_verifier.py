@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import json
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import setdev
 from setdev import claims
 from setdev.abgroup import FinAbGroup, GroupHom, enumerate_groups, enumerate_homs
 from setdev.finset import FiniteSet
@@ -168,6 +170,48 @@ def test_benchmark_tracer_names_resolve():
     for layer, attr in hooks:
         holder, name = tracer["_resolve"](importlib.import_module(f"setdev.{layer}"), attr)
         assert hasattr(holder, name), f"setdev.{layer}.{attr}"
+
+
+def test_every_public_name_is_used_by_the_package():
+    # A public name that no setdev module uses outside its import lists is
+    # API that no claim or command needs. check_all is the one-call entry
+    # point the package offers its users.
+    used = set()
+    for path in Path(setdev.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    assert sorted(set(setdev.__all__) - used) == ["check_all"]
+
+
+@pytest.mark.parametrize(
+    "order, claim_id, universe, witness",
+    [
+        (
+            "deviation_leq",
+            "L1.1",
+            Universe(max_set_size=2),
+            {"x_size": 2, "y_size": 2, "f": {"dom": 2, "cod": 2, "table": [0, 1]}},
+        ),
+        (
+            "devg_leq",
+            "L2.1",
+            Universe(max_group_order=4),
+            {"hom": {"dom": [2], "cod": [2], "matrix": [[1]]}, "case": "isomorphism"},
+        ),
+    ],
+    ids=["L1.1", "L2.1"],
+)
+def test_least_deviation_claims_consult_the_order(monkeypatch, order, claim_id, universe, witness):
+    # An order relating each deviation only to itself: the least deviation
+    # no longer lies below the others once a signature has two deviations,
+    # first at the identity on a two-element carrier or on Z/2.
+    monkeypatch.setattr(claims, order, lambda d, e: d == e)
+    report = check_claim(claim_id, universe)
+    assert report.verdict == VERDICT_REFUTED
+    assert report.witness == witness
 
 
 def _composition_reference(universe):
