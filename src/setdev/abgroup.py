@@ -9,9 +9,20 @@ an integer matrix M with k rows and m columns, entries reduced mod b_i
 row-wise, subject to the well-definedness condition b_i | a_j * M[i][j].
 
 The deviation of a homomorphism f : X -> Y is the pair of abstract groups
-(X / ker f, Y / f(X)). Both are read off one Smith normal form, the first as
-the isomorphic image f(X); an independent element-table route (explicit
-coset counting, via ker f) is provided as an oracle for the same quantities.
+(X / ker f, Y / f(X)). Two independent routes compute it:
+
+- ``devg1``/``devg2`` read f's matrix alone, prime by prime, through a local
+  Smith form over Z/p^e: the first component as the isomorphic image f(X),
+  the second as the cokernel. This route reads no element codes or tables.
+- ``devg1_oracle``/``devg2_oracle`` tabulate f over the coded form of its
+  groups, take kernel and image as bitmasks over codes, and count torsion
+  in the cosets. This route never calls ``smith_normal_form``.
+
+The coded form, ``element_table(group)``, numbers the elements in mixed
+radix, in the order of ``product(range(d) for d in factors)``. It carries a
+byte addition table and n-multiple tables, each built on first use, and
+memoises quotients by subgroup bitmask. A homomorphism's table over codes
+is built from the codes of its matrix columns by additions alone.
 
 Deviations are ordered by embeddability. The first components compare
 contravariantly: a finer kernel leaves a larger quotient, so "f deviates no
@@ -23,14 +34,18 @@ isomorphism's deviation sits below every other deviation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
+from functools import cached_property, lru_cache
+from itertools import product, zip_longest
 from math import gcd, prod
-from typing import Iterator
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 MAX_HOM_ORDER = 16
-MAX_TABLE_ORDER = 4096
 MAX_ORACLE_ORDER = 64
+# devg1/devg2 factor group orders by trial division up to this divisor
+# (about 0.15 s), so they refuse an order whose part free of smaller primes
+# exceeds its square.
+MAX_TRIAL_DIVISOR = 10**6
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,10 +73,14 @@ class FinAbGroup:
 TRIVIAL_GROUP = FinAbGroup(())
 
 
-def _factorint(n: int) -> dict[int, int]:
+@lru_cache(maxsize=None)
+def _factorint(n: int, limit: int | None = None) -> dict[int, int]:
+    """Prime factorisation by trial division, refusing to try a divisor above limit."""
     out: dict[int, int] = {}
     p = 2
     while p * p <= n:
+        if limit is not None and p > limit:
+            raise ValueError(f"{n} has no prime factor up to {limit} and is too large to factor")
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
@@ -71,20 +90,27 @@ def _factorint(n: int) -> dict[int, int]:
     return out
 
 
-def _combine_prime_exponents(exps: dict[int, list[int]]) -> FinAbGroup:
-    # Align each prime's exponents largest-first and multiply columns.
-    cols = max((len(v) for v in exps.values()), default=0)
-    factors = []
-    for j in range(cols):
-        d = 1
-        for p, es in exps.items():
-            desc = sorted(es, reverse=True)
-            if j < len(desc):
-                d *= p ** desc[j]
-        if d > 1:
-            factors.append(d)
-    factors.reverse()
-    return FinAbGroup(tuple(factors))
+def _valuation(n: int, p: int) -> int:
+    """Exponent of p in n, for n != 0."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+@lru_cache(maxsize=None)
+def _shared_group(factors: tuple[int, ...]) -> FinAbGroup:
+    # One object per isomorphism class, so the memo caches hold a group per
+    # class rather than one per homomorphism.
+    return FinAbGroup(factors)
+
+
+def _from_prime_powers(parts: Iterable[list[int]]) -> FinAbGroup:
+    """The group whose elementary divisors are given, one list per prime."""
+    # Align each prime's powers largest-first and multiply columns.
+    columns = zip_longest(*(sorted(powers, reverse=True) for powers in parts), fillvalue=1)
+    return _shared_group(tuple(reversed([prod(column) for column in columns])))
 
 
 def _is_int_list(value: object) -> bool:
@@ -143,12 +169,6 @@ class GroupHom:
             "matrix": [list(row) for row in self.matrix],
         }
 
-    def apply(self, coords: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(
-            sum(row[j] * coords[j] for j in range(len(coords))) % b
-            for row, b in zip(self.matrix, self.cod.factors)
-        )
-
     def then(self, other: GroupHom) -> GroupHom:
         """Diagrammatic composite: first self, then other."""
         if self.cod != other.dom:
@@ -172,245 +192,257 @@ class GroupDeviation:
     second: FinAbGroup
 
 
-def smith_normal_form(
-    mat: list[list[int]] | tuple[tuple[int, ...], ...],
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Diagonalize an integer matrix by unimodular row and column operations.
+# --- normal-form route ----------------------------------------------------------
 
-    Returns (U, D, V) with U @ mat @ V == D, D diagonal with non-negative
-    entries forming a divisibility chain, and det(U), det(V) in {1, -1}.
-    Pivots are always the entry of smallest absolute value, row-major on
-    ties, so intermediate matrices are reproducible.
+
+def smith_normal_form(mat: Sequence[Sequence[int]], p: int, e: int) -> list[int]:
+    """Local Smith form over Z/p^e: its diagonal, each entry divided by its unit.
+
+    Returns one power p^v per row in ascending order, each at most p^e; p^e
+    stands for a diagonal entry that is 0 mod p^e, and for each row beyond
+    the number of columns. So the cokernel of the matrix, (Z/p^e)^rows
+    modulo its column span, is the sum of the Z/p^v, and the column span
+    itself the sum of the Z/p^(e - v).
+
+    Each pivot is an entry of least valuation, p^v times a unit, first in
+    row-major order, so every other entry is a multiple of p^v and clearing
+    the pivot's column only multiplies by the unit's inverse: no remainder
+    steps, no re-pivoting. Clearing the pivot's row would change nothing
+    else, so the row is dropped instead. Transforms are not kept.
     """
-    rows = [list(r) for r in mat]
-    k = len(rows)
-    n = len(rows[0]) if k else 0
-    u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(a: int, b: int) -> None:
-        rows[a], rows[b] = rows[b], rows[a]
-        u[a], u[b] = u[b], u[a]
-
-    def swap_cols(a: int, b: int) -> None:
-        for r in rows:
-            r[a], r[b] = r[b], r[a]
-        for r in v:
-            r[a], r[b] = r[b], r[a]
-
-    def add_row(src: int, dst: int, mult: int) -> None:
-        rows[dst] = [x + mult * y for x, y in zip(rows[dst], rows[src])]
-        u[dst] = [x + mult * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src: int, dst: int, mult: int) -> None:
-        for r in rows:
-            r[dst] += mult * r[src]
-        for r in v:
-            r[dst] += mult * r[src]
-
-    def move_pivot(t: int) -> bool:
-        # Bring the smallest nonzero entry of the trailing block to (t, t).
-        pivot = None
-        best = None
-        for i in range(t, k):
-            for j in range(t, n):
-                val = abs(rows[i][j])
-                if val and (best is None or val < best):
-                    best = val
-                    pivot = (i, j)
-        if pivot is None:
-            return False
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        return True
-
-    t = 0
-    while t < min(k, n):
-        if not move_pivot(t):
+    q = p**e
+    rows = [[x % q for x in row] for row in mat]
+    out: list[int] = []
+    while rows:
+        # gcd(q, ...) is p to the least valuation, capped at q.
+        least = [gcd(q, *row) for row in rows]
+        scale = min(least)
+        if scale == q:
             break
-
-        while True:
-            residue = False
-            for i in range(t + 1, k):
-                q = rows[i][t] // rows[t][t]
-                if q:
-                    add_row(t, i, -q)
-                if rows[i][t]:
-                    residue = True
-            for j in range(t + 1, n):
-                q = rows[t][j] // rows[t][t]
-                if q:
-                    add_col(t, j, -q)
-                if rows[t][j]:
-                    residue = True
-            if residue:
-                # Some remainder is smaller than the pivot; re-pick it.
-                move_pivot(t)
-                continue
-            bad = None
-            for i in range(t + 1, k):
-                for j in range(t + 1, n):
-                    if rows[i][j] % rows[t][t]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            add_row(bad, t, 1)
-        if rows[t][t] < 0:
-            rows[t] = [-x for x in rows[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-
-    d = [[rows[i][j] if i == j else 0 for j in range(n)] for i in range(k)]
-    return u, d, v
+        pivot_row = rows.pop(least.index(scale))
+        # Every entry is a multiple of scale; the first that p * scale does not divide is a pivot.
+        j = 0
+        while not pivot_row[j] % (p * scale):
+            j += 1
+        inverse = pow(pivot_row[j] // scale, -1, q)
+        rows = [
+            [(x - c * y) % q for x, y in zip(row, pivot_row)] if (c := row[j] // scale * inverse) else row
+            for row in rows
+        ]
+        out.append(scale)
+    return out + [q] * (len(mat) - len(out))
 
 
-@lru_cache(maxsize=None)
-def _shared_group(factors: tuple[int, ...]) -> FinAbGroup:
-    # One object per isomorphism class, so the memo caches below hold a
-    # group per class rather than one per homomorphism.
-    return FinAbGroup(factors)
+def _prime_parts(group: FinAbGroup, p: int) -> tuple[int, int, list[int]]:
+    """e, q = p^e and the p-parts p^beta_i of the factors, for p dividing the order.
 
-
-def _cokernel_form(f: GroupHom) -> tuple[list[list[int]], list[int]]:
-    """(U, D) with U [M | diag(b)] V = [diag(D) | 0], b the codomain factors.
-
-    [M | diag(b)] spans the lattice L of vectors whose class lies in
-    image(f), so cod(f) / image(f) = Z^k / L has invariant factors D.
+    The last factor is divisible by all others, so it has the largest p-part.
     """
-    k = len(f.cod.factors)
-    block = [
-        list(f.matrix[i]) + [f.cod.factors[i] if c == i else 0 for c in range(k)]
-        for i in range(k)
-    ]
-    u, d, _ = smith_normal_form(block)
-    diag = [d[i][i] for i in range(k)]
-    if any(x == 0 for x in diag):
-        raise AssertionError("cokernel of a finite group must be finite")
-    return u, diag
+    e = _valuation(group.factors[-1], p)
+    q = p**e
+    return e, q, [gcd(b, q) for b in group.factors]
 
 
 @lru_cache(maxsize=None)
 def devg1(f: GroupHom) -> FinAbGroup:
     """Invariant factors of dom(f) / ker(f), computed as those of image(f).
 
-    With (U, D) from the cokernel form, the columns of U^-1 diag(D) are a
-    basis of L, and image(f) = L / diag(b) Z^k. In that basis diag(b) Z^k
-    is spanned by the columns of the integer matrix X = diag(D)^-1 U diag(b),
-    so image(f) = Z^k / X Z^k.
+    At a prime p, the p-part of image(f) is spanned by the columns of M in
+    the sum of the Z/p^beta_i, which row i embeds in Z/p^e by p^(e - beta_i).
+    The span of the scaled columns has invariants p^e / d for each
+    diagonal entry d < p^e of their local Smith form.
     """
-    u, diag = _cokernel_form(f)
-    x = [[uij * b // di for uij, b in zip(row, f.cod.factors)] for row, di in zip(u, diag)]
-    _, d, _ = smith_normal_form(x)
-    return _shared_group(tuple(row[i] for i, row in enumerate(d) if row[i] > 1))
+    parts = []
+    for p in _factorint(gcd(f.dom.order(), f.cod.order()), MAX_TRIAL_DIVISOR):
+        e, q, powers = _prime_parts(f.cod, p)
+        span = [[x * (q // r) for x in row] for row, r in zip(f.matrix, powers) if r > 1]
+        parts.append([q // d for d in smith_normal_form(span, p, e) if d < q])
+    return _from_prime_powers(parts)
 
 
 @lru_cache(maxsize=None)
 def devg2(f: GroupHom) -> FinAbGroup:
-    """Invariant factors of the cokernel cod(f) / image(f)."""
-    _, diag = _cokernel_form(f)
-    return _shared_group(tuple(x for x in diag if x > 1))
+    """Invariant factors of the cokernel cod(f) / image(f).
+
+    At a prime p, the p-part of the cokernel is presented by [M | diag(p^beta_i)]
+    over the rows with beta_i > 0, and its invariants are the diagonal
+    entries d > 1 of that matrix's local Smith form.
+    """
+    parts = []
+    for p in _factorint(f.cod.order(), MAX_TRIAL_DIVISOR):
+        e, q, powers = _prime_parts(f.cod, p)
+        # p-parts ascend along the chain, so the kept rows with p^beta_i < p^e come
+        # first; each gets a relation column, and p^beta_i = p^e is 0 mod p^e.
+        kept = [(row, r) for row, r in zip(f.matrix, powers) if r > 1]
+        n = sum(r < q for _, r in kept)
+        block = [
+            row + (0,) * j + (r,) + (0,) * (n - j - 1) if r < q else row + (0,) * n
+            for j, (row, r) in enumerate(kept)
+        ]
+        parts.append([d for d in smith_normal_form(block, p, e) if d > 1])
+    return _from_prime_powers(parts)
 
 
 def devg(f: GroupHom) -> GroupDeviation:
     return GroupDeviation(devg1(f), devg2(f))
 
 
-@dataclass(frozen=True)
-class ElementTable:
-    """Explicit element list of a finite abelian group, for brute-force work."""
-
-    group: FinAbGroup
-    elements: tuple[tuple[int, ...], ...]
-
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * len(self.group.factors)
-
-    def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.group.factors))
-
-    def scale(self, n: int, a: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((n * x) % d for x, d in zip(a, self.group.factors))
-
-    def order_of(self, a: tuple[int, ...]) -> int:
-        n = 1
-        cur = a
-        zero = self.zero()
-        while cur != zero:
-            cur = self.add(cur, a)
-            n += 1
-        return n
+# --- coded form and the element route ----------------------------------------------
 
 
-def element_table(group: FinAbGroup) -> ElementTable:
-    if group.order() > MAX_TABLE_ORDER:
-        raise ValueError(f"group of order {group.order()} exceeds the table bound {MAX_TABLE_ORDER}")
-    elems = tuple(product(*(range(d) for d in group.factors)))
-    return ElementTable(group, elems)
+# Byte n of a value table becomes ASCII "1" exactly where the value is code 0.
+_ZERO_TO_ONE = bytes([ord("1")] + [ord("0")] * 255)
 
 
-def _quotient_invariants(table: ElementTable, subgroup: frozenset) -> FinAbGroup:
-    """Invariant factors of group/subgroup by counting torsion in cosets.
+def kernel_mask(values: bytes) -> int:
+    """Bitmask of the codes x with values[x] == 0."""
+    return int(values.translate(_ZERO_TO_ONE)[::-1], 2)
 
-    The number of cosets killed by n equals |{x : n*x in subgroup}| / |subgroup|,
-    and for n a prime power that count is a pure power of the prime; the
-    exponents reconstruct the prime-exponent partition of the quotient.
-    """
-    q = len(table.elements) // len(subgroup)
-    if q == 1:
-        return TRIVIAL_GROUP
-    exps: dict[int, list[int]] = {}
-    for p in _factorint(q):
-        conj = []
-        prev_s = 0
-        k = 1
-        while True:
-            pk = p**k
-            cnt = sum(1 for x in table.elements if table.scale(pk, x) in subgroup)
-            cnt //= len(subgroup)
-            s = 0
-            while cnt > 1:
-                cnt //= p
-                s += 1
-            step = s - prev_s
-            if step == 0:
-                break
-            conj.append(step)
-            prev_s = s
-            k += 1
-        # Conjugate of the level profile gives the exponent partition.
-        exps[p] = _conjugate_partition(conj)
-    return _combine_prime_exponents(exps)
+
+def image_mask(values: bytes) -> int:
+    """Bitmask of the codes that occur in values."""
+    return sum(1 << y for y in set(values))
+
+
+class CodedGroup:
+    """The elements of a group as mixed-radix codes, with tables built on use."""
+
+    def __init__(self, group: FinAbGroup) -> None:
+        self.group = group
+        self.order = group.order()
+        self.strides = tuple(prod(group.factors[i + 1 :]) for i in range(len(group.factors)))
+        self._multiples: dict[int, bytes] = {}
+        self._quotients: dict[int, FinAbGroup] = {}
+
+    @cached_property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        """Coordinates of each code."""
+        return tuple(product(*(range(d) for d in self.group.factors)))
+
+    @cached_property
+    def sums(self) -> tuple[bytes, ...]:
+        """sums[x][y] is the code of x + y. Each row is padded to 256 bytes,
+        so that values.translate(sums[x]) adds x to every code in values."""
+        factors, strides = self.group.factors, self.strides
+        pad = bytes(256 - self.order)
+        return tuple(
+            bytes(
+                sum((u + v) % d * s for u, v, d, s in zip(x, y, factors, strides))
+                for y in self.elements
+            )
+            + pad
+            for x in self.elements
+        )
+
+    @cached_property
+    def orders(self) -> bytes:
+        """orders[x] is the order of x."""
+        out = []
+        for x, row in enumerate(self.sums):
+            n, cur = 1, x
+            while cur:
+                cur = row[cur]
+                n += 1
+            out.append(n)
+        return bytes(out)
+
+    def values(self, dom: FinAbGroup, columns: bytes) -> bytes:
+        """Codes of the images of dom's elements, in dom's code order, under
+        the homomorphism sending generator j to the element with code columns[j].
+
+        Generators are taken last first: the table of the later generators
+        is translated by each multiple of the current generator's image in
+        turn, which keeps the last coordinate fastest.
+        """
+        sums = self.sums
+        values = b"\0"
+        for a, col in reversed(list(zip(dom.factors, columns))):
+            blocks = []
+            step = 0
+            for _ in range(a):
+                blocks.append(values.translate(sums[step]))
+                step = sums[step][col]
+            values = b"".join(blocks)
+        return values
+
+    def columns(self, f: GroupHom) -> bytes:
+        """Codes of the images of dom(f)'s generators, i.e. of f's columns."""
+        if not f.matrix:
+            return bytes(len(f.dom.factors))
+        return bytes(sum(map(mul, column, self.strides)) for column in zip(*f.matrix))
+
+    def table(self, f: GroupHom) -> bytes:
+        """f's values over codes: table(f)[x] is the code of f(x)."""
+        return self.values(f.dom, self.columns(f))
+
+    def hom(self, dom: FinAbGroup, columns: bytes) -> GroupHom:
+        """The homomorphism sending generator j of dom to the element with code columns[j]."""
+        rows = range(len(self.group.factors))
+        return GroupHom(dom, self.group, tuple(tuple(self.elements[c][i] for c in columns) for i in rows))
+
+    def multiple(self, n: int) -> bytes:
+        """multiple(n)[x] is the code of n * x."""
+        if n not in self._multiples:
+            factors = self.group.factors
+            scaled = bytes(n % d * s for d, s in zip(factors, self.strides))
+            self._multiples[n] = self.values(self.group, scaled)
+        return self._multiples[n]
+
+    def quotient(self, subgroup: int) -> FinAbGroup:
+        """Invariant factors of the group modulo a subgroup, given as a bitmask
+        over codes, by counting torsion in cosets; memoised per mask.
+
+        The number of cosets killed by n equals |{x : n*x in subgroup}| / |subgroup|,
+        and for n a prime power that count is a pure power of the prime; the
+        exponents reconstruct the prime-exponent partition of the quotient.
+        """
+        if subgroup in self._quotients:
+            return self._quotients[subgroup]
+        size = subgroup.bit_count()
+        parts = []
+        for p in _factorint(self.order // size):
+            conj = []
+            prev_s = 0
+            k = 1
+            while True:
+                cnt = sum(subgroup >> y & 1 for y in self.multiple(p**k)) // size
+                s = _valuation(cnt, p)
+                step = s - prev_s
+                if step == 0:
+                    break
+                conj.append(step)
+                prev_s = s
+                k += 1
+            # Conjugate of the level profile gives the exponent partition.
+            parts.append([p**x for x in _conjugate_partition(conj)])
+        self._quotients[subgroup] = _from_prime_powers(parts)
+        return self._quotients[subgroup]
+
+
+@lru_cache(maxsize=None)
+def element_table(group: FinAbGroup) -> CodedGroup:
+    """The coded form of a group, one per group; tables are built on first use."""
+    if group.order() > MAX_ORACLE_ORDER:
+        raise ValueError(f"group of order {group.order()} exceeds the table bound {MAX_ORACLE_ORDER}")
+    return CodedGroup(group)
 
 
 def devg1_oracle(f: GroupHom) -> FinAbGroup:
-    """Element-table route to dom(f)/ker(f)."""
-    tx = element_table(f.dom)
-    zero = (0,) * len(f.cod.factors)
-    ker = frozenset(x for x in tx.elements if f.apply(x) == zero)
-    return _quotient_invariants(tx, ker)
+    """Element route to dom(f)/ker(f): the kernel as a bitmask over dom's codes."""
+    return element_table(f.dom).quotient(kernel_mask(element_table(f.cod).table(f)))
 
 
 def devg2_oracle(f: GroupHom) -> FinAbGroup:
-    """Element-table route to cod(f)/image(f)."""
-    tx = element_table(f.dom)
-    ty = element_table(f.cod)
-    img = frozenset(f.apply(x) for x in tx.elements)
-    return _quotient_invariants(ty, img)
+    """Element route to cod(f)/image(f): the image as a bitmask over cod's codes."""
+    cod = element_table(f.cod)
+    return cod.quotient(image_mask(cod.table(f)))
+
+
+# --- embeddability --------------------------------------------------------------
 
 
 def _prime_exponents(group: FinAbGroup, p: int) -> list[int]:
-    out = []
-    for d in group.factors:
-        e = 0
-        while d % p == 0:
-            d //= p
-            e += 1
-        if e:
-            out.append(e)
-    return sorted(out, reverse=True)
+    return sorted((e for d in group.factors if (e := _valuation(d, p))), reverse=True)
 
 
 def _conjugate_partition(desc: list[int]) -> list[int]:
@@ -441,10 +473,10 @@ def embeds_in_oracle(a: FinAbGroup, b: FinAbGroup) -> bool:
     """Search for an injective homomorphism, generator image by generator image.
 
     Independent of the partition criterion: candidates for each generator are
-    the elements of its exact order, a partial assignment must keep the span
-    growing by the full factor, and a branch is cut when the span plus the
-    torsion subgroup available to the remaining generators cannot reach the
-    needed order.
+    the elements of b of its exact order, a partial assignment must keep the
+    span (a bitmask over b's codes) growing by the full factor, and a branch
+    is cut when the span plus the torsion subgroup available to the
+    remaining generators cannot reach the needed order.
     """
     if a.order() > MAX_ORACLE_ORDER or b.order() > MAX_ORACLE_ORDER:
         raise ValueError(f"oracle embedding search is bounded at order {MAX_ORACLE_ORDER}")
@@ -460,37 +492,32 @@ def embeds_in_oracle(a: FinAbGroup, b: FinAbGroup) -> bool:
                 return False
 
     tb = element_table(b)
-    order_of = {x: tb.order_of(x) for x in tb.elements}
+    sums = tb.sums
     gens = sorted(a.factors, reverse=True)
-    by_exact_order = {
-        d: [x for x in tb.elements if order_of[x] == d] for d in set(gens)
-    }
-    killed_by = {
-        d: frozenset(x for x in tb.elements if tb.scale(d, x) == tb.zero()) for d in set(gens)
-    }
+    by_exact_order = {d: [x for x, n in enumerate(tb.orders) if n == d] for d in set(gens)}
+    killed_by = {d: kernel_mask(tb.multiple(d)) for d in set(gens)}
     target = a.order()
 
-    def extend(i: int, span: frozenset) -> bool:
+    def extend(i: int, span: list[int], mask: int) -> bool:
         if i == len(gens):
             return True
         d = gens[i]
         avail = killed_by[d]
-        inter = sum(1 for x in span if x in avail) if len(span) < len(avail) else sum(
-            1 for x in avail if x in span
-        )
-        if len(span) * len(avail) // inter < target:
+        if len(span) * avail.bit_count() // (mask & avail).bit_count() < target:
             return False
         for y in by_exact_order[d]:
-            new_span = set(span)
-            step = span
-            for _ in range(d - 1):
-                step = frozenset(tb.add(s, y) for s in step)
-                new_span.update(step)
-            if len(new_span) == len(span) * d and extend(i + 1, frozenset(new_span)):
+            steps = [y]
+            for _ in range(d - 2):
+                steps.append(sums[steps[-1]][y])
+            # The span grows by the factor d iff <y> meets it only in 0.
+            if any(mask >> s & 1 for s in steps):
+                continue
+            grown = span + [sums[s][x] for s in steps for x in span]
+            if extend(i + 1, grown, image_mask(grown)):
                 return True
         return False
 
-    return extend(0, frozenset({tb.zero()}))
+    return extend(0, [0], 1)
 
 
 def devg_leq(d: GroupDeviation, e: GroupDeviation) -> bool:
@@ -515,9 +542,9 @@ def enumerate_homs(dom: FinAbGroup, cod: FinAbGroup) -> Iterator[GroupHom]:
             a = dom.factors[j]
             step = b // gcd(a, b)
             choices.append(range(0, b, step))
+    rows = [slice(i * m, (i + 1) * m) for i in range(k)]
     for flat in product(*choices):
-        matrix = tuple(tuple(flat[i * m + j] for j in range(m)) for i in range(k))
-        yield GroupHom(dom, cod, matrix)
+        yield GroupHom(dom, cod, tuple(flat[row] for row in rows))
 
 
 def _partitions_of(n: int) -> Iterator[tuple[int, ...]]:
@@ -544,6 +571,5 @@ def enumerate_groups(max_order: int) -> tuple[FinAbGroup, ...]:
         primes = _factorint(n)
         parts = [list(_partitions_of(e)) for e in primes.values()]
         for choice in product(*parts):
-            exps = {p: list(part) for p, part in zip(primes, choice)}
-            groups.append(_combine_prime_exponents(exps))
+            groups.append(_from_prime_powers([p**x for x in part] for p, part in zip(primes, choice)))
     return tuple(sorted(groups, key=lambda g: (g.order(), g.factors)))

@@ -20,7 +20,6 @@ from .abgroup import (
     TRIVIAL_GROUP,
     FinAbGroup,
     GroupDeviation,
-    GroupHom,
     devg1,
     devg1_oracle,
     devg2,
@@ -31,6 +30,8 @@ from .abgroup import (
     embeds_in_oracle,
     enumerate_groups,
     enumerate_homs,
+    image_mask,
+    kernel_mask,
 )
 from .chu import (
     ChuMorphism,
@@ -199,17 +200,20 @@ def check_partition_order(u: Universe):
 def check_least_deviation(u: Universe):
     for nx, ny in size_pairs(u.max_set_size):
         x, y = FiniteSet(nx), FiniteSet(ny)
-        maps = list(enumerate_mappings(x, y))
-        parts = [kernel_partition(f) for f in maps]
-        imgs = [image(f).bits for f in maps]
         full = (1 << ny) - 1
         least = Deviation(discrete(x), SubsetOf(y))
-        devs = {Deviation(part, SubsetOf(y, full ^ img)) for part, img in zip(parts, imgs)}
+        # One pass keeps the distinct deviations and two flags per mapping,
+        # not the mappings; a second pass re-enumerates them in order.
+        devs = set()
+        bijective, at_least = [], []
+        for f in enumerate_mappings(x, y):
+            part, img = kernel_partition(f), image(f).bits
+            devs.add(Deviation(part, SubsetOf(y, full ^ img)))
+            bijective.append(_inj_direct(f) and _surj_direct(f))
+            at_least.append(part == least.part and img == full)
         least_is_below_all = all(deviation_leq(least, d) for d in devs)
-        for f, part, img in zip(maps, parts, imgs):
-            bij = _inj_direct(f) and _surj_direct(f)
-            is_least = part == least.part and img == full and least_is_below_all
-            yield None if bij == is_least else _pair_witness(nx, ny, f)
+        for f, bij, is_at in zip(enumerate_mappings(x, y), bijective, at_least):
+            yield None if bij == (is_at and least_is_below_all) else _pair_witness(nx, ny, f)
 
 
 @claim(
@@ -331,19 +335,19 @@ def check_devg_oracle(u: Universe):
 def check_group_lemma(u: Universe):
     groups = enumerate_groups(min(u.max_group_order, MAX_HOM_ORDER))
     for a in groups:
-        ta = element_table(a)
-        nonzero = [e for e in ta.elements if e != ta.zero()]
         for b in groups:
+            tb = element_table(b)
+            full = (1 << b.order()) - 1
             homs = list(enumerate_homs(a, b))
             d1s = [devg1(f) for f in homs]
             d2s = [devg2(f) for f in homs]
             least = GroupDeviation(a, TRIVIAL_GROUP)
             devs = {GroupDeviation(d1, d2) for d1, d2 in zip(d1s, d2s)}
             least_is_below_all = all(devg_leq(least, d) for d in devs)
-            zero_b = (0,) * len(b.factors)
             for f, d1, d2 in zip(homs, d1s, d2s):
-                inj = all(f.apply(e) != zero_b for e in nonzero)
-                surj = len({f.apply(e) for e in ta.elements}) == b.order()
+                values = tb.table(f)
+                inj = kernel_mask(values) == 1
+                surj = image_mask(values) == full
                 if surj != d2.is_trivial():
                     yield {"hom": f.to_json_dict(), "case": "surjective"}
                 elif inj != (d1 == a):
@@ -352,19 +356,6 @@ def check_group_lemma(u: Universe):
                     yield {"hom": f.to_json_dict(), "case": "isomorphism"}
                 else:
                     yield None
-
-
-def _column_codes(f: GroupHom, codes: dict[tuple[int, ...], int]) -> bytes:
-    """Codes in cod(f) of the images of dom(f)'s generators, i.e. of f's columns."""
-    return bytes(codes[tuple(row[j] for row in f.matrix)] for j in range(len(f.dom.factors)))
-
-
-def _from_columns(
-    dom: FinAbGroup, cod: FinAbGroup, columns: bytes, elements: tuple[tuple[int, ...], ...]
-) -> GroupHom:
-    """The homomorphism sending generator j of dom to elements[columns[j]] in cod."""
-    rows = range(len(cod.factors))
-    return GroupHom(dom, cod, tuple(tuple(elements[col][i] for col in columns) for i in rows))
 
 
 @claim(
@@ -393,17 +384,15 @@ def check_group_composition(u: Universe):
             embeds.append([embeds_in(x, y) for y in interned])
         return index[x]
 
-    elements = [element_table(x).elements for x in groups]
-    codes = [{e: i for i, e in enumerate(elems)} for elems in elements]
+    coded = [element_table(x) for x in groups]
     # tables[b][c] and devg2s[b][c]: for each g : b -> c in order, its table
-    # on b's codes and devg2(g). Codes fit in bytes, since homomorphisms are
-    # enumerated up to order MAX_HOM_ORDER.
+    # over b's codes and devg2(g).
     tables = [[[] for _ in groups] for _ in groups]
     devg2s = [[[] for _ in groups] for _ in groups]
-    for b, elems in enumerate(elements):
-        for c, code_c in enumerate(codes):
-            for g in enumerate_homs(groups[b], groups[c]):
-                tables[b][c].append(bytes(code_c[g.apply(e)] for e in elems))
+    for b, x in enumerate(groups):
+        for c, code_c in enumerate(coded):
+            for g in enumerate_homs(x, groups[c]):
+                tables[b][c].append(code_c.table(g))
                 devg2s[b][c].append(intern(devg2(g)))
     for a in groups:
         m = len(a.factors)
@@ -411,14 +400,14 @@ def check_group_composition(u: Universe):
         # with that code.
         d1s = [[None] * c.order() ** m for c in groups]
         d2s = [[None] * c.order() ** m for c in groups]
-        for b, code_b in enumerate(codes):
+        for b, code_b in enumerate(coded):
             # Each f : a -> b is kept as its columns and devg1(f) alone, and
             # rebuilt from its columns when a composite or witness needs it.
             f_columns, f_devg1 = [], []
             for f in enumerate_homs(a, groups[b]):
-                f_columns.append(_column_codes(f, code_b))
+                f_columns.append(code_b.columns(f))
                 f_devg1.append(intern(devg1(f)))
-            for c, code_c in enumerate(codes):
+            for c, code_c in enumerate(coded):
                 size, d1_known, d2_known = groups[c].order(), d1s[c], d2s[c]
                 gs = enumerate_homs(groups[b], groups[c])
                 for g, g_table, d2g in zip(gs, tables[b][c], devg2s[b][c]):
@@ -428,8 +417,8 @@ def check_group_composition(u: Universe):
                             code = code * size + g_table[col]
                         d1h = d1_known[code]
                         if d1h is None:
-                            h = _from_columns(a, groups[b], columns, elements[b]).then(g)
-                            if _column_codes(h, code_c) != bytes(g_table[col] for col in columns):
+                            h = code_b.hom(a, columns).then(g)
+                            if code_c.columns(h) != bytes(g_table[col] for col in columns):
                                 raise AssertionError("composite disagrees with its generator images")
                             d1h = d1_known[code] = intern(devg1(h))
                             d2_known[code] = intern(devg2(h))
@@ -440,7 +429,7 @@ def check_group_composition(u: Universe):
                         else:
                             yield None
                             continue
-                        f = _from_columns(a, groups[b], columns, elements[b])
+                        f = code_b.hom(a, columns)
                         yield {"f": f.to_json_dict(), "g": g.to_json_dict(), "case": case}
 
 

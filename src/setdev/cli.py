@@ -183,7 +183,10 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 def cmd_group(args: argparse.Namespace) -> int:
     f = _parse_hom(args.hom)
-    d = devg(f)
+    try:
+        d = devg(f)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     iso_shape = d.first == f.dom and d.second.is_trivial()
     flags = []
     if d.first == f.dom:

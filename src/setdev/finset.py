@@ -18,7 +18,7 @@ two is the deviation of f, and every mapping factors as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 def _is_int(value: object) -> bool:
@@ -49,15 +49,6 @@ class SubsetOf:
             raise ValueError("bitmask sets bits outside the carrier")
 
     @classmethod
-    def of(cls, base: FiniteSet, elems: Iterable[int]) -> SubsetOf:
-        bits = 0
-        for x in elems:
-            if not 0 <= x < base.size:
-                raise ValueError(f"element {x} outside carrier of size {base.size}")
-            bits |= 1 << x
-        return cls(base, bits)
-
-    @classmethod
     def full(cls, base: FiniteSet) -> SubsetOf:
         return cls(base, (1 << base.size) - 1)
 
@@ -68,7 +59,13 @@ class SubsetOf:
         return self.bits.bit_count()
 
     def elements(self) -> tuple[int, ...]:
-        return tuple(x for x in range(self.base.size) if self.bits >> x & 1)
+        out = []
+        bits = self.bits
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return tuple(out)
 
     def complement(self) -> SubsetOf:
         return SubsetOf(self.base, self.bits ^ ((1 << self.base.size) - 1))
@@ -111,14 +108,6 @@ class Partition:
             seen |= blk.bits
         if seen != (1 << self.base.size) - 1:
             raise ValueError("blocks must cover the carrier")
-
-    @classmethod
-    def of(cls, base: FiniteSet, blocks: Iterable[Iterable[int]]) -> Partition:
-        subs = sorted(
-            (SubsetOf.of(base, blk) for blk in blocks),
-            key=lambda s: s.bits & -s.bits,
-        )
-        return cls(base, tuple(subs))
 
     def to_lists(self) -> list[list[int]]:
         return [blk.to_list() for blk in self.blocks]

@@ -1,10 +1,13 @@
+import time
 from fractions import Fraction
+from itertools import combinations, product
 from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from setdev.abgroup import (
+    MAX_TRIAL_DIVISOR,
     FinAbGroup,
     GroupHom,
     TRIVIAL_GROUP,
@@ -20,6 +23,8 @@ from setdev.abgroup import (
     embeds_in_oracle,
     enumerate_groups,
     enumerate_homs,
+    image_mask,
+    kernel_mask,
     smith_normal_form,
 )
 
@@ -45,8 +50,39 @@ def _det(mat):
     return det
 
 
-def _matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+def _valuation(n, p):
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+# Tuple arithmetic on coordinates, the reference for the coded tables.
+
+
+def _zero(group):
+    return (0,) * len(group.factors)
+
+
+def _add(group, x, y):
+    return tuple((u + v) % d for u, v, d in zip(x, y, group.factors))
+
+
+def _scale(group, n, x):
+    return tuple(n * u % d for u, d in zip(x, group.factors))
+
+
+def _order(group, x):
+    n, cur = 1, x
+    while cur != _zero(group):
+        cur = _add(group, cur, x)
+        n += 1
+    return n
+
+
+def _apply(f, x):
+    return tuple(sum(m * u for m, u in zip(row, x)) % b for row, b in zip(f.matrix, f.cod.factors))
 
 
 # --- groups and elements ------------------------------------------------------
@@ -65,38 +101,96 @@ def test_invariant_factor_validation():
 
 def test_element_table_examples():
     assert len(element_table(TRIVIAL_GROUP).elements) == 1
-    klein = element_table(FinAbGroup((2, 2)))
+    klein_group = FinAbGroup((2, 2))
+    klein = element_table(klein_group)
     assert len(klein.elements) == 4
-    assert all(klein.add(e, e) == klein.zero() for e in klein.elements)
-    z6 = element_table(FinAbGroup((6,)))
+    assert all(_add(klein_group, e, e) == _zero(klein_group) for e in klein.elements)
+    z6_group = FinAbGroup((6,))
+    z6 = element_table(z6_group)
     gen = (1,)
     seen = set()
-    cur = z6.zero()
+    cur = _zero(z6_group)
     for _ in range(6):
         seen.add(cur)
-        cur = z6.add(cur, gen)
-    assert len(seen) == 6
+        cur = _add(z6_group, cur, gen)
+    assert len(seen) == 6 and seen == set(z6.elements)
     with pytest.raises(ValueError):
         element_table(FinAbGroup((4096, 2)))
+    with pytest.raises(ValueError):
+        element_table(FinAbGroup((65,)))
+    assert element_table(FinAbGroup((64,))).order == 64
 
 
-# --- smith normal form ---------------------------------------------------------
+def test_coded_tables_match_tuple_arithmetic():
+    for group in enumerate_groups(16):
+        table = element_table(group)
+        assert table.elements == tuple(product(*(range(d) for d in group.factors)))
+        code = {x: i for i, x in enumerate(table.elements)}
+        for x in table.elements:
+            assert table.orders[code[x]] == _order(group, x)
+            for y in table.elements:
+                assert table.sums[code[x]][code[y]] == code[_add(group, x, y)]
+        for n in range(group.order() + 1):
+            assert table.multiple(n) == bytes(code[_scale(group, n, x)] for x in table.elements)
+
+
+def test_hom_tables_and_masks_match_apply():
+    groups = enumerate_groups(8)
+    for a in groups:
+        for b in groups:
+            ta, tb = element_table(a), element_table(b)
+            code_b = {y: i for i, y in enumerate(tb.elements)}
+            for f in enumerate_homs(a, b):
+                values = tb.table(f)
+                assert values == bytes(code_b[_apply(f, x)] for x in ta.elements)
+                kernel = {x for x in ta.elements if _apply(f, x) == _zero(b)}
+                image = {_apply(f, x) for x in ta.elements}
+                assert kernel_mask(values) == sum(1 << i for i, x in enumerate(ta.elements) if x in kernel)
+                assert image_mask(values) == sum(1 << i for i, y in enumerate(tb.elements) if y in image)
+                assert tb.hom(a, tb.columns(f)) == f
+
+
+# --- local smith normal form ----------------------------------------------------
+
+
+def _minor_diagonal(rows, p, e):
+    """The local Smith form from minors alone: the i-th diagonal entry is
+    p^(v(g_i) - v(g_(i-1))), g_i the gcd of all i x i minors, capped at p^e."""
+    k, n = len(rows), len(rows[0]) if rows else 0
+    out, prev = [], 0
+    for t in range(1, k + 1):
+        g = 0
+        if t <= n:
+            for rs in combinations(range(k), t):
+                for cs in combinations(range(n), t):
+                    g = gcd(g, int(_det([[rows[r][c] for c in cs] for r in rs])))
+        if g == 0:
+            out.extend([p**e] * (k - len(out)))
+            break
+        v = _valuation(g, p)
+        out.append(p ** min(v - prev, e))
+        prev = v
+    return out
 
 
 def test_snf_examples():
-    _, d, _ = smith_normal_form([[1]])
-    assert d == [[1]]
-    u, d, v = smith_normal_form([[2, 0], [0, 3]])
-    assert [d[i][i] for i in range(2)] == [1, 6]
-    assert _matmul(_matmul(u, [[2, 0], [0, 3]]), v) == d
-    assert abs(_det(u)) == 1 and abs(_det(v)) == 1
-    _, d, _ = smith_normal_form([[0]])
-    assert d == [[0]]
+    assert smith_normal_form([[1]], 2, 3) == [1]
+    # diag(2, 3) has integer Smith form diag(1, 6).
+    assert smith_normal_form([[2, 0], [0, 3]], 2, 3) == [1, 2]
+    assert smith_normal_form([[2, 0], [0, 3]], 3, 2) == [1, 3]
+    assert smith_normal_form([[2, 0], [0, 3]], 5, 1) == [1, 1]
+    assert smith_normal_form([[0]], 2, 3) == [8]
+    # [[4, 2], [2, 4]] has integer Smith form diag(2, 6).
+    assert smith_normal_form([[4, 2], [2, 4]], 2, 3) == [2, 2]
+    assert smith_normal_form([[4, 2], [2, 4]], 3, 1) == [1, 3]
+    # Over Z/8, 16 is 0 and a row without columns is a free summand.
+    assert smith_normal_form([[16, 2]], 2, 3) == [2]
+    assert smith_normal_form([[2], [0]], 2, 3) == [2, 8]
 
 
 def test_snf_empty_matrix():
-    u, d, v = smith_normal_form([])
-    assert (u, d, v) == ([], [], [])
+    assert smith_normal_form([], 2, 1) == []
+    assert smith_normal_form([[]], 3, 2) == [9]
 
 
 @st.composite
@@ -110,22 +204,14 @@ def int_matrices(draw, max_dim=4, max_entry=9):
 
 
 @settings(max_examples=150)
-@given(int_matrices())
-def test_snf_properties(rows):
-    u, d, v = smith_normal_form(rows)
-    assert _matmul(_matmul(u, rows), v) == d
-    assert abs(_det(u)) == 1
-    assert abs(_det(v)) == 1
-    diag = [d[i][i] for i in range(min(len(rows), len(rows[0])))]
-    for a, b in zip(diag, diag[1:]):
-        if a == 0:
-            assert b == 0  # zeros trail the chain
-        else:
-            assert b % a == 0
-    for i in range(len(rows)):
-        for j in range(len(rows[0])):
-            if i != j:
-                assert d[i][j] == 0
+@given(int_matrices(), st.sampled_from([2, 3, 5]), st.integers(min_value=1, max_value=4))
+def test_snf_properties(rows, p, e):
+    # Certificate independent of the elimination: each diagonal entry is
+    # pinned by the gcds of the integer matrix's minors.
+    diag = smith_normal_form(rows, p, e)
+    assert diag == sorted(diag)
+    assert all(d in [p**v for v in range(e + 1)] for d in diag)
+    assert diag == _minor_diagonal(rows, p, e)
 
 
 # --- hom validation and enumeration --------------------------------------------
@@ -197,6 +283,29 @@ def test_devg_examples():
     assert devg(incl).first == FinAbGroup((2,)) and devg(incl).second == FinAbGroup((2,))
 
 
+def test_devg_factoring_is_bounded():
+    # 2^61 - 1 is prime, so trial division would take about 10^9 steps; it stops at the bound.
+    prime = 2**61 - 1
+    big = FinAbGroup((prime,))
+    start = time.perf_counter()
+    for component in (devg1, devg2):
+        with pytest.raises(ValueError, match=f"no prime factor up to {MAX_TRIAL_DIVISOR}"):
+            component(GroupHom(big, big, ((1,),)))
+    assert time.perf_counter() - start < 5.0
+    # devg1 factors gcd(|dom|, |cod|) and devg2 |cod|, so a large domain alone is fine.
+    onto = GroupHom(FinAbGroup((2 * prime,)), FinAbGroup((2,)), ((1,),))
+    assert devg(onto) == GroupDeviation(FinAbGroup((2,)), TRIVIAL_GROUP)
+    # Large orders with small prime factors, or a prime cofactor below the
+    # bound's square, factor at once.
+    big2 = FinAbGroup((2**20, 2**39))
+    assert devg(GroupHom(big2, big2, ((1, 0), (0, 1)))) == GroupDeviation(big2, TRIVIAL_GROUP)
+    assert devg(GroupHom(big2, big2, ((0, 0), (0, 2)))) == GroupDeviation(
+        FinAbGroup((2**38,)), FinAbGroup((2, 2**20))
+    )
+    z = FinAbGroup((3 * 1000003,))
+    assert devg(GroupHom(z, z, ((3,),))) == GroupDeviation(FinAbGroup((1000003,)), FinAbGroup((3,)))
+
+
 def test_devg_oracle_agreement_small():
     groups = enumerate_groups(6)
     for a in groups:
@@ -247,15 +356,15 @@ def test_embeds_oracle_bound():
         embeds_in_oracle(FinAbGroup((65,)), FinAbGroup((65,)))
 
 
-def _all_subgroup_carriers(table):
+def _all_subgroup_carriers(group):
     """Every addition-closed subset containing zero, by closure growth."""
-    zero = table.zero()
-    found = {frozenset({zero})}
+    elements = element_table(group).elements
+    found = {frozenset({_zero(group)})}
     frontier = set(found)
     while frontier:
         next_frontier = set()
         for sub in frontier:
-            for g in table.elements:
+            for g in elements:
                 if g in sub:
                     continue
                 cur = set(sub)
@@ -265,7 +374,7 @@ def _all_subgroup_carriers(table):
                     if a in cur:
                         continue
                     cur.add(a)
-                    stack.extend(table.add(a, b) for b in list(cur))
+                    stack.extend(_add(group, a, b) for b in list(cur))
                 closed = frozenset(cur)
                 if closed not in found:
                     found.add(closed)
@@ -286,13 +395,12 @@ def test_embeds_in_matches_literal_subgroup_enumeration():
     # determine a finite abelian group up to isomorphism).
     groups = enumerate_groups(12)
     for b in groups:
-        table = element_table(b)
-        carriers = _all_subgroup_carriers(table)
+        carriers = _all_subgroup_carriers(b)
         for a in groups:
             literal = any(
                 len(c) == a.order()
                 and all(
-                    sum(1 for x in c if table.scale(n, x) == table.zero())
+                    sum(1 for x in c if _scale(b, n, x) == _zero(b))
                     == _torsion_count(a, n)
                     for n in range(1, a.order() + 1)
                 )

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import setdev
+from setdev.abgroup import MAX_TRIAL_DIVISOR
 from setdev.cli import MAX_CARRIER, main
 
 
@@ -107,6 +108,35 @@ def test_mapping_carriers_are_capped(capsys, command):
     assert code == 2
     code, out, _ = run(capsys, *command, json.dumps({"dom": 1, "cod": MAX_CARRIER, "table": [0]}))
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("command", [("dev",), ("factor",)])
+def test_largest_identity_literal_is_fast(capsys, command):
+    # Every block of the identity's kernel partition is a singleton, so
+    # listing blocks must not scan the carrier once per block.
+    n = MAX_CARRIER
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *command, json.dumps({"dom": n, "cod": n, "table": list(range(n))}))
+    assert code == 0 and out
+    assert time.perf_counter() - start < 2.0
+
+
+def test_hom_factoring_is_bounded(capsys):
+    # 2^61 - 1 is prime: factoring it by trial division would not finish.
+    start = time.perf_counter()
+    prime = 2**61 - 1
+    code, _, err = run(capsys, "group", json.dumps({"dom": [prime], "cod": [prime], "matrix": [[1]]}))
+    assert code == 2
+    assert f"no prime factor up to {MAX_TRIAL_DIVISOR}" in err
+    assert time.perf_counter() - start < 5.0
+    # Only the orders that are factored count: here gcd(|dom|, |cod|) = 2 and |cod| = 2.
+    code, out, _ = run(capsys, "group", json.dumps({"dom": [prime * 2], "cod": [2], "matrix": [[1]]}))
+    assert code == 0 and "surjective" in out
+    code, out, _ = run(capsys, "group", json.dumps({"dom": [2, 4096], "cod": [2], "matrix": [[1, 0]]}))
+    assert code == 0
+    assert "devg1 (domain / kernel): [2]" in out and "devg2 (codomain / image): []" in out
+    code, out, _ = run(capsys, "group", json.dumps({"dom": [2**39], "cod": [2**39], "matrix": [[1]]}))
+    assert code == 0 and "isomorphism" in out
 
 
 def test_group_identity(capsys):

@@ -34,22 +34,28 @@ def test_finite_set_rejects_negative_size():
 
 def test_subset_bounds():
     base = FiniteSet(3)
-    assert SubsetOf.of(base, [0, 2]).to_list() == [0, 2]
+    assert SubsetOf(base, 0b101).to_list() == [0, 2]
     with pytest.raises(ValueError):
         SubsetOf(base, 1 << 3)
     with pytest.raises(ValueError):
-        SubsetOf.of(base, [3])
+        SubsetOf(base, 0b1001)
 
 
 def test_partition_validation():
     base = FiniteSet(3)
+
+    def partition(*masks):
+        return Partition(base, tuple(SubsetOf(base, mask) for mask in masks))
+
     with pytest.raises(ValueError):
-        Partition.of(base, [[0, 1], [1, 2]])  # overlap
+        partition(0b011, 0b110)  # overlap
     with pytest.raises(ValueError):
-        Partition.of(base, [[0, 1]])  # not covering
+        partition(0b011)  # not covering
     with pytest.raises(ValueError):
-        Partition.of(base, [[0, 1], [2], []])  # empty block
-    canonical = Partition.of(base, [[2], [0, 1]])
+        partition(0b011, 0b100, 0)  # empty block
+    with pytest.raises(ValueError):
+        partition(0b100, 0b011)  # blocks out of canonical order
+    canonical = partition(0b011, 0b100)
     assert canonical.to_lists() == [[0, 1], [2]]
 
 
@@ -152,8 +158,8 @@ def test_partition_leq_examples():
     for p in all_partitions(base):
         assert partition_leq(discrete(base), p)
         assert partition_leq(p, top)
-    p = Partition.of(base, [[0, 1], [2]])
-    q = Partition.of(base, [[0], [1, 2]])
+    p = Partition(base, (SubsetOf(base, 0b011), SubsetOf(base, 0b100)))
+    q = Partition(base, (SubsetOf(base, 0b001), SubsetOf(base, 0b110)))
     assert not partition_leq(p, q)
     assert not partition_leq(q, p)
 
@@ -211,10 +217,11 @@ def partitions(draw, max_size=5):
     rgs = [0]
     for _ in range(n - 1):
         rgs.append(draw(st.integers(min_value=0, max_value=max(rgs) + 1)))
-    blocks: dict[int, list[int]] = {}
+    # Block v first appears at its least element, so masks come in canonical order.
+    masks = [0] * (max(rgs) + 1)
     for x, v in enumerate(rgs):
-        blocks.setdefault(v, []).append(x)
-    return Partition.of(base, blocks.values())
+        masks[v] |= 1 << x
+    return Partition(base, tuple(SubsetOf(base, mask) for mask in masks))
 
 
 @given(partitions())

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import setdev
-from setdev import claims
+from setdev import abgroup, claims
 from setdev.abgroup import FinAbGroup, GroupHom, enumerate_groups, enumerate_homs
 from setdev.finset import FiniteSet
 from setdev.verifier import (
@@ -258,6 +258,75 @@ def test_group_composition_refutes_a_wrong_deviation(monkeypatch, name, lie):
     assert witness is not None
     assert report.verdict == VERDICT_REFUTED
     assert (report.witness, report.instances) == (witness, instances)
+
+
+# Z/2 + Z/2 -> Z/4, (x, y) -> 2x: 47th of the 110 homs between groups of
+# order at most 4. Both deviation components of it are Z/2.
+_LIED_ABOUT = GroupHom(FinAbGroup((2, 2)), FinAbGroup((4,)), ((2, 0),))
+
+
+@pytest.mark.parametrize("name", ["devg1", "devg2", "devg1_oracle", "devg2_oracle"])
+def test_group_crosscheck_refutes_when_one_route_lies(monkeypatch, name):
+    # Each of the four functions is checked against its counterpart on the
+    # other route, so a lie told by any one of them alone is caught.
+    honest = getattr(claims, name)
+    monkeypatch.setattr(claims, name, lambda f: FinAbGroup((4,)) if f == _LIED_ABOUT else honest(f))
+    report = check_claim("devg-oracle", Universe(max_group_order=4))
+    components = {"devg1": [2], "devg1_oracle": [2], "devg2": [2], "devg2_oracle": [2], name: [4]}
+    assert report.verdict == VERDICT_REFUTED
+    assert report.instances == 47
+    assert report.witness == {"hom": _LIED_ABOUT.to_json_dict(), **components}
+
+
+@pytest.mark.parametrize("name", ["embeds_in", "embeds_in_oracle"])
+def test_embedding_crosscheck_refutes_when_one_route_lies(monkeypatch, name):
+    # Z/2 embeds in Z/4: pair 10 of the 25 at order at most 4.
+    z2, z4 = FinAbGroup((2,)), FinAbGroup((4,))
+    honest = getattr(claims, name)
+    monkeypatch.setattr(claims, name, lambda a, b: False if (a, b) == (z2, z4) else honest(a, b))
+    report = check_claim("embeds-oracle", Universe(max_group_order=4))
+    answers = {"fast": True, "oracle": True, {"embeds_in": "fast", "embeds_in_oracle": "oracle"}[name]: False}
+    assert report.verdict == VERDICT_REFUTED
+    assert report.instances == 10
+    assert report.witness == {"a": [2], "b": [4], **answers}
+
+
+def _homs_up_to(order):
+    groups = enumerate_groups(order)
+    return [f for a, b in product(groups, repeat=2) for f in enumerate_homs(a, b)]
+
+
+def test_normal_form_route_reads_no_element_tables(monkeypatch):
+    homs = _homs_up_to(8)
+    expected = [(abgroup.devg1_oracle(f), abgroup.devg2_oracle(f)) for f in homs]
+
+    def no_tables(group):
+        raise AssertionError("the normal-form route read an element table")
+
+    monkeypatch.setattr(abgroup, "element_table", no_tables)
+    with pytest.raises(AssertionError):
+        abgroup.devg1_oracle(homs[-1])
+    # The uncached functions, so that no earlier result is reused.
+    assert [(abgroup.devg1.__wrapped__(f), abgroup.devg2.__wrapped__(f)) for f in homs] == expected
+
+
+def test_element_route_runs_no_normal_form(monkeypatch):
+    homs = _homs_up_to(8)
+    expected = [(abgroup.devg1(f), abgroup.devg2(f)) for f in homs]
+    groups = enumerate_groups(16)
+    embeddings = [[abgroup.embeds_in(a, b) for b in groups] for a in groups]
+
+    def no_normal_form(mat, p, e):
+        raise AssertionError("the element route ran a normal form")
+
+    monkeypatch.setattr(abgroup, "smith_normal_form", no_normal_form)
+    with pytest.raises(AssertionError):
+        abgroup.devg2.__wrapped__(homs[-1])
+    # Fresh coded groups, so that no memoised quotient is reused.
+    abgroup.element_table.cache_clear()
+    assert [(abgroup.devg1_oracle(f), abgroup.devg2_oracle(f)) for f in homs] == expected
+    oracle = abgroup.embeds_in_oracle.__wrapped__
+    assert [[oracle(a, b) for b in groups] for a in groups] == embeddings
 
 
 def test_reports_are_deterministic():
