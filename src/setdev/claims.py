@@ -48,6 +48,7 @@ from .finset import (
     Deviation,
     FiniteSet,
     Mapping,
+    Partition,
     SubsetOf,
     all_partitions,
     canonical_factorization,
@@ -120,6 +121,14 @@ def _subsets(y: FiniteSet, family: int) -> list[list[int]]:
 
 def _composite_witness(sizes: list[int], f: Mapping, g: Mapping) -> dict:
     return {"sizes": sizes, "f": f.to_json_dict(), "g": g.to_json_dict()}
+
+
+def _composite(f: Mapping, g: Mapping, table: tuple[int, ...]) -> Mapping:
+    """f.then(g), checked against the table read off by lookup."""
+    h = f.then(g)
+    if h.table != table:
+        raise AssertionError("composite disagrees with its table lookup")
+    return h
 
 
 # --- mappings, factorization, deviation order ------------------------------
@@ -224,14 +233,25 @@ def check_dev1_monotone(u: Universe):
     for nx, ny, nz in size_triples(u.max_triple_size):
         y = FiniteSet(ny)
         fs = list(enumerate_mappings(FiniteSet(nx), y))
-        parts_f = [kernel_partition(f) for f in fs]
-        part_cache: dict[tuple[int, ...], object] = {}
+        # Kernel partitions are interned per signature as ids in order of
+        # first sighting, each distinct composite table gets its kernel's id
+        # once, and partition_leq runs once per pair of ids.
+        ids: dict[Partition, int] = {}
+        f_ids = [ids.setdefault(kernel_partition(f), len(ids)) for f in fs]
+        composite_ids: dict[tuple[int, ...], int] = {}
+        below: dict[tuple[int, int], bool] = {}
         for g in enumerate_mappings(y, FiniteSet(nz)):
-            for f, part_f in zip(fs, parts_f):
-                h = f.then(g)
-                if h.table not in part_cache:
-                    part_cache[h.table] = kernel_partition(h)
-                ok = partition_leq(part_f, part_cache[h.table])
+            lookup = g.table.__getitem__
+            for f, i in zip(fs, f_ids):
+                table = tuple(map(lookup, f.table))
+                j = composite_ids.get(table)
+                if j is None:
+                    part = kernel_partition(_composite(f, g, table))
+                    j = composite_ids[table] = ids.setdefault(part, len(ids))
+                ok = below.get((i, j))
+                if ok is None:
+                    parts = list(ids)
+                    ok = below[i, j] = partition_leq(parts[i], parts[j])
                 yield None if ok else _composite_witness([nx, ny, nz], f, g)
 
 
@@ -243,11 +263,16 @@ def check_dev2_outer(u: Universe):
     for nx, ny, nz in size_triples(u.max_triple_size):
         y = FiniteSet(ny)
         fs = list(enumerate_mappings(FiniteSet(nx), y))
+        images: dict[tuple[int, ...], int] = {}
         for g in enumerate_mappings(y, FiniteSet(nz)):
             img_g = image(g).bits
+            lookup = g.table.__getitem__
             for f in fs:
-                ok = image(f.then(g)).bits & ~img_g == 0
-                yield None if ok else _composite_witness([nx, ny, nz], f, g)
+                table = tuple(map(lookup, f.table))
+                img = images.get(table)
+                if img is None:
+                    img = images[table] = image(_composite(f, g, table)).bits
+                yield None if img & ~img_g == 0 else _composite_witness([nx, ny, nz], f, g)
 
 
 @claim(
@@ -542,13 +567,16 @@ def check_galois_identities(u: Universe):
     "where the enumeration is the singleton identification",
 )
 def check_kappa_lemma(u: Universe):
+    # Discrete partitions of each P(Y) and their singleton identifications.
+    bottoms = [discrete(FiniteSet(1 << n)) for n in range(u.max_powerset_base + 1)]
+    singletons = [iota(p.base) for p in bottoms]
     for nx, ny, f in mappings(u.max_powerset_base):
         pre = preimage_map(f)
         ka = kappa(f)
         bijection = ka.is_injective() and ka.is_surjective()
-        discrete_on_py = kernel_partition(pre) == discrete(pre.dom)
+        discrete_on_py = kernel_partition(pre) == bottoms[ny]
         surj = _surj_direct(f)
-        ok = bijection and discrete_on_py == surj and (not surj or ka == iota(pre.dom))
+        ok = bijection and discrete_on_py == surj and (not surj or ka == singletons[ny])
         yield None if ok else _pair_witness(nx, ny, f)
 
 
@@ -558,13 +586,14 @@ def check_kappa_lemma(u: Universe):
     "surjectivity, and bijectivity of the original mapping",
 )
 def check_preimage_deviation_lemma(u: Universe):
+    bottoms = [discrete(FiniteSet(1 << n)) for n in range(u.max_powerset_base + 1)]
     for nx, ny, f in mappings(u.max_powerset_base):
         pre = preimage_map(f)
         dev = deviation(pre)
         ka = kappa(f)
         kappa_bijection = ka.is_injective() and ka.is_surjective()
         injective_form = dev.missed.bits == 0 and kappa_bijection
-        surjective_form = dev.part == discrete(pre.dom)
+        surjective_form = dev.part == bottoms[ny]
         bijective_form = surjective_form and dev.missed.bits == 0
         ok = (
             injective_form == _inj_direct(f)

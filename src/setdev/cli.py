@@ -85,11 +85,16 @@ def _add_universe_flags(parser: argparse.ArgumentParser) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     universe = _universe_from_args(args)
     reg = registry()
-    if args.claims:
-        ids = [c.strip() for c in args.claims.split(",") if c.strip()]
+    if args.claims is not None:
+        ids = [c.strip() for c in args.claims.split(",")]
+        if not all(ids):
+            raise CliError("--claims needs comma-separated claim ids, none of them blank")
         unknown = [c for c in ids if c not in reg]
         if unknown:
             raise CliError(f"unknown claim ids: {', '.join(unknown)}")
+        repeated = list(dict.fromkeys(c for c in ids if ids.count(c) > 1))
+        if repeated:
+            raise CliError(f"repeated claim ids: {', '.join(repeated)}")
         selected = [reg[c] for c in ids]
     else:
         selected = list(reg.values())

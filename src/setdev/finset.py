@@ -92,10 +92,11 @@ class Partition:
     blocks: tuple[SubsetOf, ...]
 
     def __post_init__(self) -> None:
+        base = self.base
         seen = 0
         prev_min = -1
         for blk in self.blocks:
-            if blk.base != self.base:
+            if blk.base is not base and blk.base != base:
                 raise ValueError("block carrier differs from partition carrier")
             if blk.bits == 0:
                 raise ValueError("blocks must be nonempty")
@@ -106,7 +107,7 @@ class Partition:
                 raise ValueError("blocks must be ordered by minimum element")
             prev_min = lo
             seen |= blk.bits
-        if seen != (1 << self.base.size) - 1:
+        if seen != (1 << base.size) - 1:
             raise ValueError("blocks must cover the carrier")
 
     def to_lists(self) -> list[list[int]]:
@@ -162,13 +163,13 @@ class Mapping:
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.table) != self.dom.size:
+        table, size = self.table, self.cod.size
+        if len(table) != self.dom.size:
             raise ValueError("table length must equal the domain size")
-        for x, y in enumerate(self.table):
-            if not 0 <= y < self.cod.size:
-                raise ValueError(
-                    f"table[{x}] = {y} is outside the codomain of size {self.cod.size}"
-                )
+        # min and max scan in C; the walk only names the first bad index.
+        if table and (min(table) < 0 or max(table) >= size):
+            x, y = next((x, y) for x, y in enumerate(table) if not 0 <= y < size)
+            raise ValueError(f"table[{x}] = {y} is outside the codomain of size {size}")
 
     @classmethod
     def identity(cls, base: FiniteSet) -> Mapping:
@@ -195,7 +196,7 @@ class Mapping:
         """Diagrammatic composite: first self, then other."""
         if self.cod != other.dom:
             raise ValueError("composite needs matching middle carrier")
-        return Mapping(self.dom, other.cod, tuple(other.table[y] for y in self.table))
+        return Mapping(self.dom, other.cod, tuple(map(other.table.__getitem__, self.table)))
 
     def is_injective(self) -> bool:
         return len(set(self.table)) == len(self.table)
@@ -263,8 +264,9 @@ def kernel_partition(f: Mapping) -> Partition:
     fibres: dict[int, int] = {}
     for x, y in enumerate(f.table):
         fibres[y] = fibres.get(y, 0) | (1 << x)
-    masks = sorted(fibres.values(), key=lambda b: b & -b)
-    return Partition(f.dom, tuple(SubsetOf(f.dom, m) for m in masks))
+    # A fibre enters the dict at its least element, so insertion order is
+    # already the canonical block order and needs no sort.
+    return Partition(f.dom, tuple(SubsetOf(f.dom, m) for m in fibres.values()))
 
 
 def canonical_factorization(f: Mapping) -> Factorization:

@@ -8,7 +8,7 @@ MAX_BASE elements.
 
 from __future__ import annotations
 
-from .finset import FiniteSet, Mapping, discrete, image, kernel_partition
+from .finset import FiniteSet, Mapping, discrete, image
 
 # A table over P(X) has 2**|X| entries; 4096 keeps every sweep tractable.
 MAX_BASE = 12
@@ -81,16 +81,13 @@ def kappa(f: Mapping) -> Mapping:
 
     Two subsets of the codomain have the same preimage exactly when they cut
     the image identically, so the class of U is reached from V = U n image(f);
-    kappa sends encoded V to the index of that class. It is a bijection for
+    kappa sends encoded V to the index of that class. Kernel blocks are
+    ordered by least element, so a block's index is the order in which its
+    preimage value first occurs in the preimage table. It is a bijection for
     every f.
     """
     img = image(f).elements()
     pre = preimage_map(f)
-    part = kernel_partition(pre)
-    # Each block is one fibre of the preimage map, so the preimage of its
-    # lowest member names it.
-    block_of = {
-        pre.table[(blk.bits & -blk.bits).bit_length() - 1]: i for i, blk in enumerate(part.blocks)
-    }
+    block_of = {v: i for i, v in enumerate(dict.fromkeys(pre.table))}
     table = tuple(block_of[pre.table[u]] for u in _unions([1 << y for y in img]))
-    return Mapping(power_set(FiniteSet(len(img))), FiniteSet(len(part.blocks)), table)
+    return Mapping(power_set(FiniteSet(len(img))), FiniteSet(len(block_of)), table)

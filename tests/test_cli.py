@@ -222,6 +222,24 @@ def test_verify_unknown_claim(capsys):
     assert "unknown claim ids" in err
 
 
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        # An empty list used to run every claim, and "," ran none and exited 0.
+        *[(ids, "none of them blank") for ids in ["", " ", ",", " , ", "T1.1,", ",T1.1", "T1.1,,1.12"]],
+        # A repeated id used to emit the same record twice.
+        ("T1.1,T1.1", "repeated claim ids: T1.1"),
+        ("T1.1, 1.12,T1.1", "repeated claim ids: T1.1"),
+        ("1.12,T1.1,1.12,T1.1", "repeated claim ids: 1.12, T1.1"),
+    ],
+)
+def test_verify_claim_list_errors_are_usage_errors(capsys, ids, message):
+    code, out, err = run(capsys, "verify", "--claims", ids, "--max-triple-size", "1")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_verify_machine_round_trip(capsys):
     code, out, _ = run(
         capsys,

@@ -55,8 +55,12 @@ def test_partition_validation():
         partition(0b011, 0b100, 0)  # empty block
     with pytest.raises(ValueError):
         partition(0b100, 0b011)  # blocks out of canonical order
+    with pytest.raises(ValueError, match="block carrier"):
+        Partition(FiniteSet(2), (SubsetOf(base, 0b011),))  # block over another carrier
     canonical = partition(0b011, 0b100)
     assert canonical.to_lists() == [[0, 1], [2]]
+    # An equal carrier that is another object is the same carrier.
+    assert Partition(base, (SubsetOf(FiniteSet(3), 0b111),)).to_lists() == [[0, 1, 2]]
 
 
 def test_empty_carrier_has_exactly_the_empty_partition():
@@ -73,6 +77,13 @@ def test_mapping_validation():
         m(2, 2, [0])
     with pytest.raises(ValueError):
         m(1, 0, [0])
+    # The range error names the first index out of range.
+    with pytest.raises(ValueError, match=r"^table\[1\] = 5 is outside the codomain of size 2$"):
+        m(3, 2, [0, 5, 7])
+    with pytest.raises(ValueError, match=r"^table\[2\] = -1 "):
+        m(3, 2, [0, 1, -1])  # negative entry
+    with pytest.raises(ValueError, match=r"^table\[3\] = 3 "):
+        m(4, 3, [0, 1, 2, 3])  # out of range only at the last index
 
 
 # --- image / kernel / factorization ------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 import setdev
 from setdev import abgroup, claims
 from setdev.abgroup import FinAbGroup, GroupHom, enumerate_groups, enumerate_homs
-from setdev.finset import FiniteSet
+from setdev.finset import FiniteSet, Mapping, Partition, SubsetOf, discrete, indiscrete
 from setdev.verifier import (
     Universe,
     VERDICT_COUNTEREXAMPLE,
@@ -22,6 +22,7 @@ from setdev.verifier import (
     enumerate_mappings,
     machine_records,
     registry,
+    size_triples,
     text_report,
 )
 
@@ -258,6 +259,85 @@ def test_group_composition_refutes_a_wrong_deviation(monkeypatch, name, lie):
     assert witness is not None
     assert report.verdict == VERDICT_REFUTED
     assert (report.witness, report.instances) == (witness, instances)
+
+
+def _triple_reference(universe, claim_id):
+    """T1.1 or 1.12 as the plain loop over every f.then(g): (first witness, instances)."""
+    instances = 0
+    for nx, ny, nz in size_triples(universe.max_triple_size):
+        y = FiniteSet(ny)
+        for g in enumerate_mappings(y, FiniteSet(nz)):
+            for f in enumerate_mappings(FiniteSet(nx), y):
+                instances += 1
+                h = f.then(g)
+                if claim_id == "T1.1":
+                    ok = claims.partition_leq(claims.kernel_partition(f), claims.kernel_partition(h))
+                else:
+                    ok = claims.image(h).bits & ~claims.image(g).bits == 0
+                if not ok:
+                    return {"sizes": [nx, ny, nz], "f": f.to_json_dict(), "g": g.to_json_dict()}, instances
+    return None, instances
+
+
+def _at(sizes, f, g):
+    nx, ny, nz = sizes
+    return {
+        "sizes": sizes,
+        "f": {"dom": nx, "cod": ny, "table": f},
+        "g": {"dom": ny, "cod": nz, "table": g},
+    }
+
+
+_THREE = FiniteSet(3)
+# {0, 1}{2}: the kernel of (0, 0, 1).
+_GLUED = Partition(_THREE, (SubsetOf(_THREE, 0b011), SubsetOf(_THREE, 0b100)))
+# (0, 0, 1) on three elements, first composed at (3, 2, 3) from f = (0, 0, 1)
+# and g = (0, 1). Both f and g were composed before it in that signature,
+# each time to a constant map, so a memo keyed by f alone or by g alone
+# never asks for its kernel or image.
+_COMPOSITE = Mapping(_THREE, _THREE, (0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "claim_id, name, lied_about, answer, witness",
+    [
+        # The composite's kernel read as discrete, below the kernel of f.
+        ("T1.1", "kernel_partition", (_COMPOSITE,), discrete(_THREE), _at([3, 2, 3], [0, 0, 1], [0, 1])),
+        # The composite's image read as everything, outside the image of g.
+        ("1.12", "image", (_COMPOSITE,), SubsetOf.full(_THREE), _at([3, 2, 3], [0, 0, 1], [0, 1])),
+        # {0, 1}{2} <= {0, 1}{2} denied. f = (0, 0, 1) met only constant
+        # composites before, so a row read by f's kernel alone misses it.
+        ("T1.1", "partition_leq", (_GLUED, _GLUED), False, _at([3, 2, 2], [0, 0, 1], [0, 1])),
+        # {0, 1}{2} <= {0, 1, 2} denied. The constant f met the single block
+        # first, so a column read by the composite's kernel alone misses it.
+        ("T1.1", "partition_leq", (_GLUED, indiscrete(_THREE)), False, _at([3, 2, 1], [0, 0, 1], [0, 0])),
+    ],
+    ids=["T1.1-kernel", "1.12-image", "T1.1-leq-row", "T1.1-leq-column"],
+)
+def test_composite_claims_refute_a_lie_about_one_composite(
+    monkeypatch, claim_id, name, lied_about, answer, witness
+):
+    # The sweeps memoise per distinct composite table and per pair of
+    # kernels; a lie is still found where the plain loop finds it.
+    honest = getattr(claims, name)
+    monkeypatch.setattr(claims, name, lambda *args: answer if args == lied_about else honest(*args))
+    universe = Universe(max_triple_size=3)
+    reference = _triple_reference(universe, claim_id)
+    report = check_claim(claim_id, universe)
+    assert report.verdict == VERDICT_REFUTED
+    assert reference[0] == witness
+    assert (report.witness, report.instances) == reference
+
+
+@pytest.mark.parametrize("claim_id", ["T1.1", "1.12"])
+def test_composite_claims_check_the_lookup_against_then(monkeypatch, claim_id):
+    # Each distinct composite table is built once by Mapping.then, and the
+    # sweep stops if the two disagree.
+    honest = Mapping.then
+    wrong = Mapping(_THREE, _THREE, (0, 1, 1))
+    monkeypatch.setattr(Mapping, "then", lambda f, g: wrong if honest(f, g) == _COMPOSITE else honest(f, g))
+    with pytest.raises(AssertionError, match="composite disagrees with its table lookup"):
+        check_claim(claim_id, Universe(max_triple_size=3))
 
 
 # Z/2 + Z/2 -> Z/4, (x, y) -> 2x: 47th of the 110 homs between groups of
