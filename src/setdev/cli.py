@@ -109,10 +109,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _dot_deviation(f: Mapping) -> str:
     dev = deviation(f)
     lines = ["digraph deviation {", "  rankdir=LR;"]
-    for i, blk in enumerate(dev.part.blocks):
+    for i, blk in enumerate(dev.part.to_lists()):
         lines.append(f"  subgraph cluster_block{i} {{")
         lines.append(f'    label="block {i}";')
-        for x in blk.elements():
+        for x in blk:
             lines.append(f'    x{x} [label="{x}"];')
         lines.append("  }")
     for y in range(f.cod.size):
@@ -240,7 +240,7 @@ def cmd_chu(args: argparse.Namespace) -> int:
     if f.dom.size >= 2:
         dev = ex_deviation(f.dom)
         record["evaluation_deviation"] = {
-            "block_sizes": [len(b) for b in dev.part.blocks],
+            "block_sizes": [b.bit_count() for b in dev.part.blocks],
             "missed": dev.missed.to_list(),
         }
     if args.format == "machine":

@@ -26,6 +26,16 @@ def _is_int(value: object) -> bool:
     return type(value) is int
 
 
+def _elements(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 @dataclass(frozen=True, slots=True)
 class FiniteSet:
     """Canonical carrier {0, ..., size-1}."""
@@ -59,13 +69,7 @@ class SubsetOf:
         return self.bits.bit_count()
 
     def elements(self) -> tuple[int, ...]:
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
+        return _elements(self.bits)
 
     def complement(self) -> SubsetOf:
         return SubsetOf(self.base, self.bits ^ ((1 << self.base.size) - 1))
@@ -83,40 +87,36 @@ class SubsetOf:
 class Partition:
     """Partition of a finite carrier into nonempty disjoint covering blocks.
 
-    Blocks are kept in canonical order (ascending minimum element), so
-    partition equality is plain structural equality. The empty carrier has
-    exactly one partition: the empty one.
+    Blocks are int bitmasks in canonical order (ascending minimum element),
+    so partition equality is plain structural equality. The empty carrier
+    has exactly one partition: the empty one.
     """
 
     base: FiniteSet
-    blocks: tuple[SubsetOf, ...]
+    blocks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        base = self.base
-        seen = 0
-        prev_min = -1
+        seen = prev_low = 0
         for blk in self.blocks:
-            if blk.base is not base and blk.base != base:
-                raise ValueError("block carrier differs from partition carrier")
-            if blk.bits == 0:
-                raise ValueError("blocks must be nonempty")
-            if blk.bits & seen:
+            if type(blk) is not int or blk <= 0:
+                raise ValueError("blocks must be nonempty int bitmasks")
+            if blk & seen:
                 raise ValueError("blocks must be pairwise disjoint")
-            lo = (blk.bits & -blk.bits).bit_length() - 1
-            if lo <= prev_min:
+            low = blk & -blk
+            if low <= prev_low:
                 raise ValueError("blocks must be ordered by minimum element")
-            prev_min = lo
-            seen |= blk.bits
-        if seen != (1 << base.size) - 1:
-            raise ValueError("blocks must cover the carrier")
+            prev_low = low
+            seen |= blk
+        if seen != (1 << self.base.size) - 1:
+            raise ValueError("blocks must cover the carrier and nothing outside it")
 
     def to_lists(self) -> list[list[int]]:
-        return [blk.to_list() for blk in self.blocks]
+        return [list(_elements(blk)) for blk in self.blocks]
 
 
 def discrete(base: FiniteSet) -> Partition:
     """The all-singletons partition (bottom of the refinement order)."""
-    return Partition(base, tuple(SubsetOf(base, 1 << x) for x in range(base.size)))
+    return Partition(base, tuple(1 << x for x in range(base.size)))
 
 
 def indiscrete(base: FiniteSet) -> Partition:
@@ -128,7 +128,7 @@ def indiscrete(base: FiniteSet) -> Partition:
     """
     if base.size == 0:
         return Partition(base, ())
-    return Partition(base, (SubsetOf.full(base),))
+    return Partition(base, ((1 << base.size) - 1,))
 
 
 def all_partitions(base: FiniteSet) -> Iterator[Partition]:
@@ -145,7 +145,7 @@ def all_partitions(base: FiniteSet) -> Iterator[Partition]:
             masks = [0] * nblocks
             for x, v in enumerate(s):
                 masks[v] |= 1 << x
-            yield Partition(base, tuple(SubsetOf(base, m) for m in masks))
+            yield Partition(base, tuple(masks))
             return
         for v in range(mx + 2):
             s[i] = v
@@ -266,7 +266,7 @@ def kernel_partition(f: Mapping) -> Partition:
         fibres[y] = fibres.get(y, 0) | (1 << x)
     # A fibre enters the dict at its least element, so insertion order is
     # already the canonical block order and needs no sort.
-    return Partition(f.dom, tuple(SubsetOf(f.dom, m) for m in fibres.values()))
+    return Partition(f.dom, tuple(fibres.values()))
 
 
 def canonical_factorization(f: Mapping) -> Factorization:
@@ -276,14 +276,14 @@ def canonical_factorization(f: Mapping) -> Factorization:
 
     block_of = [0] * f.dom.size
     for i, blk in enumerate(part.blocks):
-        for x in blk.elements():
+        for x in _elements(blk):
             block_of[x] = i
 
     quotient = FiniteSet(len(part.blocks))
     img_set = FiniteSet(len(img))
 
     proj = Mapping(f.dom, quotient, tuple(block_of))
-    mid_table = tuple(positions[f.table[blk.elements()[0]]] for blk in part.blocks)
+    mid_table = tuple(positions[f.table[(blk & -blk).bit_length() - 1]] for blk in part.blocks)
     mid = Mapping(quotient, img_set, mid_table)
     incl = Mapping(img_set, f.cod, img)
     return Factorization(proj, mid, incl)
@@ -301,7 +301,7 @@ def classify(f: Mapping) -> Classification:
     (vacuously so on the empty domain).
     """
     dev = deviation(f)
-    injective = all(len(blk) == 1 for blk in dev.part.blocks)
+    injective = all(blk & (blk - 1) == 0 for blk in dev.part.blocks)
     surjective = dev.missed.bits == 0
     constant = len(dev.part.blocks) <= 1
     return Classification(injective, surjective, injective and surjective, constant)
@@ -311,14 +311,14 @@ def partition_leq(p: Partition, q: Partition) -> bool:
     """Refinement order: p <= q iff every block of p sits inside a block of q."""
     if p.base != q.base:
         raise ValueError("partitions of different carriers are not comparable")
-    holding: dict[int, int] = {}
-    for blk in q.blocks:
-        for x in blk.elements():
-            holding[x] = blk.bits
+    # Each block of p must sit inside the block of q holding its least element.
     for blk in p.blocks:
-        lo = (blk.bits & -blk.bits).bit_length() - 1
-        if blk.bits & ~holding[lo]:
-            return False
+        low = blk & -blk
+        for held in q.blocks:
+            if held & low:
+                if blk & ~held:
+                    return False
+                break
     return True
 
 

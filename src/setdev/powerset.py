@@ -12,13 +12,14 @@ from .finset import FiniteSet, Mapping, discrete, image
 
 # A table over P(X) has 2**|X| entries; 4096 keeps every sweep tractable.
 MAX_BASE = 12
+_POWER_SETS = tuple(FiniteSet(1 << n) for n in range(MAX_BASE + 1))
 
 
 def power_set(base: FiniteSet) -> FiniteSet:
     """The carrier of P(base), indexed by subset bitmask."""
     if base.size > MAX_BASE:
         raise ValueError(f"powerset over {base.size} elements exceeds the bound {MAX_BASE}")
-    return FiniteSet(1 << base.size)
+    return _POWER_SETS[base.size]
 
 
 def _unions(masks: list[int]) -> tuple[int, ...]:
@@ -76,18 +77,18 @@ def iota(base: FiniteSet) -> Mapping:
     return Mapping(base, FiniteSet(len(blocks)), tuple(range(base.size)))
 
 
-def kappa(f: Mapping) -> Mapping:
-    """Identification of P(image f) with the kernel blocks of the preimage map.
+def kappa(pre: Mapping) -> Mapping:
+    """Identification of P(image f) with the kernel blocks of pre = preimage_map(f).
 
     Two subsets of the codomain have the same preimage exactly when they cut
     the image identically, so the class of U is reached from V = U n image(f);
-    kappa sends encoded V to the index of that class. Kernel blocks are
-    ordered by least element, so a block's index is the order in which its
-    preimage value first occurs in the preimage table. It is a bijection for
-    every f.
+    kappa sends encoded V to the index of that class; image(f) is the set of
+    y whose singleton has a nonempty preimage. Kernel blocks are ordered by
+    least element, so a block's index is the order in which its preimage
+    value first occurs in the preimage table. It is a bijection for every f.
     """
-    img = image(f).elements()
-    pre = preimage_map(f)
+    img = [y for y in range(pre.dom.size.bit_length() - 1) if pre.table[1 << y]]
     block_of = {v: i for i, v in enumerate(dict.fromkeys(pre.table))}
-    table = tuple(block_of[pre.table[u]] for u in _unions([1 << y for y in img]))
+    # From a list, not a generator: tuples grown by resizing pile up in the free lists.
+    table = tuple([block_of[pre.table[u]] for u in _unions([1 << y for y in img])])
     return Mapping(power_set(FiniteSet(len(img))), FiniteSet(len(block_of)), table)

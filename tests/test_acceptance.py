@@ -137,7 +137,7 @@ def test_chu_embedding_and_evaluation():
     for n in (2, 3, 4):
         dev = ex_deviation(FiniteSet(n))
         expected = n * (1 << (n - 1))
-        sizes_ok = sizes_ok and [len(b) for b in dev.part.blocks] == [expected, expected]
+        sizes_ok = sizes_ok and [b.bit_count() for b in dev.part.blocks] == [expected, expected]
         sizes_ok = sizes_ok and dev.missed.to_list() == []
     _report(
         "category laws, functoriality, faithfulness, fullness at <= 3; "

@@ -109,7 +109,7 @@ def test_ex_deviation_blocks():
     for n in (2, 3, 4):
         dev = ex_deviation(FiniteSet(n))
         expected = n * (1 << (n - 1))
-        assert [len(b) for b in dev.part.blocks] == [expected, expected]
+        assert [b.bit_count() for b in dev.part.blocks] == [expected, expected]
         assert dev.missed.to_list() == []
 
 

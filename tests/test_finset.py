@@ -42,25 +42,24 @@ def test_subset_bounds():
 
 
 def test_partition_validation():
-    base = FiniteSet(3)
+    for blocks, reason in [
+        ((True, 0b110), "int bitmasks"),  # True == 1, but a bool is not a bitmask
+        ((0b011, 0b100, 0), "nonempty"),
+        ((0b011, 0b110), "disjoint"),
+        ((0b100, 0b011), "ordered"),
+        ((0b011, 0b1100), "cover"),  # a bit outside the carrier
+        ((0b011,), "cover"),
+    ]:
+        with pytest.raises(ValueError, match=reason):
+            Partition(FiniteSet(3), blocks)
 
-    def partition(*masks):
-        return Partition(base, tuple(SubsetOf(base, mask) for mask in masks))
 
-    with pytest.raises(ValueError):
-        partition(0b011, 0b110)  # overlap
-    with pytest.raises(ValueError):
-        partition(0b011)  # not covering
-    with pytest.raises(ValueError):
-        partition(0b011, 0b100, 0)  # empty block
-    with pytest.raises(ValueError):
-        partition(0b100, 0b011)  # blocks out of canonical order
-    with pytest.raises(ValueError, match="block carrier"):
-        Partition(FiniteSet(2), (SubsetOf(base, 0b011),))  # block over another carrier
-    canonical = partition(0b011, 0b100)
-    assert canonical.to_lists() == [[0, 1], [2]]
-    # An equal carrier that is another object is the same carrier.
-    assert Partition(base, (SubsetOf(FiniteSet(3), 0b111),)).to_lists() == [[0, 1, 2]]
+def test_partition_blocks_are_masks_in_canonical_order():
+    part = Partition(FiniteSet(3), (0b011, 0b100))
+    assert part.to_lists() == [[0, 1], [2]]
+    assert discrete(FiniteSet(3)).blocks == (0b001, 0b010, 0b100)
+    assert indiscrete(FiniteSet(3)).blocks == (0b111,)
+    assert kernel_partition(m(4, 3, [2, 0, 2, 1])).blocks == (0b0101, 0b0010, 0b1000)
 
 
 def test_empty_carrier_has_exactly_the_empty_partition():
@@ -169,10 +168,20 @@ def test_partition_leq_examples():
     for p in all_partitions(base):
         assert partition_leq(discrete(base), p)
         assert partition_leq(p, top)
-    p = Partition(base, (SubsetOf(base, 0b011), SubsetOf(base, 0b100)))
-    q = Partition(base, (SubsetOf(base, 0b001), SubsetOf(base, 0b110)))
+    p = Partition(base, (0b011, 0b100))
+    q = Partition(base, (0b001, 0b110))
     assert not partition_leq(p, q)
     assert not partition_leq(q, p)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_partition_leq_matches_literal_refinement(n):
+    parts = list(all_partitions(FiniteSet(n)))
+    blocks = [[set(b) for b in p.to_lists()] for p in parts]
+    for p, p_blocks in zip(parts, blocks):
+        for q, q_blocks in zip(parts, blocks):
+            refines = all(any(a <= b for b in q_blocks) for a in p_blocks)
+            assert partition_leq(p, q) == refines
 
 
 def test_partition_leq_base_mismatch():
@@ -232,7 +241,7 @@ def partitions(draw, max_size=5):
     masks = [0] * (max(rgs) + 1)
     for x, v in enumerate(rgs):
         masks[v] |= 1 << x
-    return Partition(base, tuple(SubsetOf(base, mask) for mask in masks))
+    return Partition(base, tuple(masks))
 
 
 @given(partitions())
@@ -261,10 +270,9 @@ def test_kernel_partition_blocks_are_fibres(data):
     table = tuple(data.draw(st.integers(min_value=0, max_value=ny - 1)) for _ in range(nx))
     f = m(nx, ny, table)
     part = kernel_partition(f)
-    for blk in part.blocks:
-        values = {f.table[x] for x in blk.elements()}
-        assert len(values) == 1
-    assert sum(len(b) for b in part.blocks) == nx
+    for values in part.to_lists():
+        assert len({f.table[x] for x in values}) == 1
+    assert sum(b.bit_count() for b in part.blocks) == nx
 
 
 def test_json_round_trip():

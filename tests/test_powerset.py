@@ -96,7 +96,7 @@ def test_subset_maps_match_their_set_definitions():
                     if fibre not in classes:
                         classes.append(fibre)
                 ka = [classes.index({x for x in range(nx) if apply[x] in v}) for v in pimg]
-                assert kappa(f) == m(len(pimg), len(classes), ka)
+                assert kappa(preimage_map(f)) == m(len(pimg), len(classes), ka)
 
 
 def test_iota():
@@ -107,7 +107,7 @@ def test_iota():
 
 def test_kappa_surjective_is_identity_shaped():
     surj = m(3, 2, [0, 0, 1])
-    ka = kappa(surj)
+    ka = kappa(preimage_map(surj))
     assert ka.dom.size == 4 and ka.cod.size == 4
     assert ka.is_bijective()
     # Kernel classes of the preimage map are singletons, indexed like P(Y).
@@ -116,7 +116,7 @@ def test_kappa_surjective_is_identity_shaped():
 
 def test_kappa_constant_two_blocks():
     const = m(2, 2, [0, 0])
-    ka = kappa(const)
+    ka = kappa(preimage_map(const))
     assert ka.dom.size == 2 and ka.cod.size == 2
     assert ka.table == (0, 1)
     assert kernel_partition(preimage_map(const)).to_lists() == [[0, 2], [1, 3]]
@@ -124,7 +124,7 @@ def test_kappa_constant_two_blocks():
 
 def test_kappa_bijective_full_size():
     bij = m(3, 3, [1, 2, 0])
-    ka = kappa(bij)
+    ka = kappa(preimage_map(bij))
     assert ka.dom.size == 8 and ka.cod.size == 8 and ka.is_bijective()
 
 

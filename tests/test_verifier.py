@@ -290,7 +290,7 @@ def _at(sizes, f, g):
 
 _THREE = FiniteSet(3)
 # {0, 1}{2}: the kernel of (0, 0, 1).
-_GLUED = Partition(_THREE, (SubsetOf(_THREE, 0b011), SubsetOf(_THREE, 0b100)))
+_GLUED = Partition(_THREE, (0b011, 0b100))
 # (0, 0, 1) on three elements, first composed at (3, 2, 3) from f = (0, 0, 1)
 # and g = (0, 1). Both f and g were composed before it in that signature,
 # each time to a constant map, so a memo keyed by f alone or by g alone
