@@ -96,7 +96,7 @@ def _inj_direct(f: Mapping) -> bool:
 
 def _surj_direct(f: Mapping) -> bool:
     for y in range(f.cod.size):
-        if not any(v == y for v in f.table):
+        if y not in f.table:  # no x with f(x) = y
             return False
     return True
 
@@ -123,12 +123,23 @@ def _composite_witness(sizes: list[int], f: Mapping, g: Mapping) -> dict:
     return {"sizes": sizes, "f": f.to_json_dict(), "g": g.to_json_dict()}
 
 
-def _composite(f: Mapping, g: Mapping, table: tuple[int, ...]) -> Mapping:
+def _lookup(g: Mapping) -> bytes:
+    """g's table as a 256-byte translation: bytes(f.table).translate(_lookup(g)) is f.then(g)'s table."""
+    return bytes(g.table).ljust(256, b"\0")
+
+
+def _composite(f: Mapping, g: Mapping, table: bytes) -> Mapping:
     """f.then(g), checked against the table read off by lookup."""
     h = f.then(g)
-    if h.table != table:
+    if bytes(h.table) != table:
         raise AssertionError("composite disagrees with its table lookup")
     return h
+
+
+def _image_subsets(img: int) -> list[int]:
+    """The subsets of the set with bitmask img, ascending: entry v is the
+    subset that v encodes over img's elements taken in ascending order."""
+    return [v for v in range(img + 1) if v & ~img == 0]
 
 
 # --- mappings, factorization, deviation order ------------------------------
@@ -151,10 +162,11 @@ def check_factorization(u: Universe):
 def check_classification(u: Universe):
     for nx, ny, f in mappings(u.max_set_size):
         c = classify(f)
+        inj, surj = _inj_direct(f), _surj_direct(f)
         ok = (
-            c.injective == _inj_direct(f)
-            and c.surjective == _surj_direct(f)
-            and c.bijective == (_inj_direct(f) and _surj_direct(f))
+            c.injective == inj
+            and c.surjective == surj
+            and c.bijective == (inj and surj)
             and c.constant == _const_direct(f)
         )
         yield None if ok else _pair_witness(nx, ny, f, flags=list(c.flags()))
@@ -233,25 +245,32 @@ def check_dev1_monotone(u: Universe):
     for nx, ny, nz in size_triples(u.max_triple_size):
         y = FiniteSet(ny)
         fs = list(enumerate_mappings(FiniteSet(nx), y))
+        f_tables = [bytes(f.table) for f in fs]
         # Kernel partitions are interned per signature as ids in order of
         # first sighting, each distinct composite table gets its kernel's id
-        # once, and partition_leq runs once per pair of ids.
+        # once, and partition_leq runs once per pair of ids. Each id of an
+        # inner kernel keeps the verdicts by composite table.
         ids: dict[Partition, int] = {}
         f_ids = [ids.setdefault(kernel_partition(f), len(ids)) for f in fs]
-        composite_ids: dict[tuple[int, ...], int] = {}
+        verdicts = [{} for _ in ids]
+        f_verdicts = [verdicts[i] for i in f_ids]
+        composite_ids: dict[bytes, int] = {}
         below: dict[tuple[int, int], bool] = {}
         for g in enumerate_mappings(y, FiniteSet(nz)):
-            lookup = g.table.__getitem__
-            for f, i in zip(fs, f_ids):
-                table = tuple(map(lookup, f.table))
-                j = composite_ids.get(table)
-                if j is None:
-                    part = kernel_partition(_composite(f, g, table))
-                    j = composite_ids[table] = ids.setdefault(part, len(ids))
-                ok = below.get((i, j))
+            lookup = _lookup(g)
+            for f, f_table, i, known in zip(fs, f_tables, f_ids, f_verdicts):
+                table = f_table.translate(lookup)
+                ok = known.get(table)
                 if ok is None:
-                    parts = list(ids)
-                    ok = below[i, j] = partition_leq(parts[i], parts[j])
+                    j = composite_ids.get(table)
+                    if j is None:
+                        part = kernel_partition(_composite(f, g, table))
+                        j = composite_ids[table] = ids.setdefault(part, len(ids))
+                    ok = below.get((i, j))
+                    if ok is None:
+                        parts = list(ids)
+                        ok = below[i, j] = partition_leq(parts[i], parts[j])
+                    known[table] = ok
                 yield None if ok else _composite_witness([nx, ny, nz], f, g)
 
 
@@ -263,12 +282,13 @@ def check_dev2_outer(u: Universe):
     for nx, ny, nz in size_triples(u.max_triple_size):
         y = FiniteSet(ny)
         fs = list(enumerate_mappings(FiniteSet(nx), y))
-        images: dict[tuple[int, ...], int] = {}
+        f_tables = [bytes(f.table) for f in fs]
+        images: dict[bytes, int] = {}
         for g in enumerate_mappings(y, FiniteSet(nz)):
             img_g = image(g).bits
-            lookup = g.table.__getitem__
-            for f in fs:
-                table = tuple(map(lookup, f.table))
+            lookup = _lookup(g)
+            for f, f_table in zip(fs, f_tables):
+                table = f_table.translate(lookup)
                 img = images.get(table)
                 if img is None:
                     img = images[table] = image(_composite(f, g, table)).bits
@@ -392,7 +412,7 @@ def check_group_lemma(u: Universe):
 def check_group_composition(u: Universe):
     # A composite f.then(g) is fixed by its generator images, which are g's
     # table read at f's columns; each distinct composite is built once per
-    # (dom, cod) and its deviation components are kept by that code.
+    # (dom, cod) and its deviation components are kept by those images.
     groups = enumerate_groups(min(u.max_group_order, MAX_COMPOSITION_ORDER))
     interned = list(groups)
     index = {x: i for i, x in enumerate(interned)}
@@ -411,20 +431,19 @@ def check_group_composition(u: Universe):
 
     coded = [element_table(x) for x in groups]
     # tables[b][c] and devg2s[b][c]: for each g : b -> c in order, its table
-    # over b's codes and devg2(g).
+    # over b's codes padded to a 256-byte translation, and devg2(g).
     tables = [[[] for _ in groups] for _ in groups]
     devg2s = [[[] for _ in groups] for _ in groups]
     for b, x in enumerate(groups):
+        pad = bytes(256 - x.order())
         for c, code_c in enumerate(coded):
             for g in enumerate_homs(x, groups[c]):
-                tables[b][c].append(code_c.table(g))
+                tables[b][c].append(code_c.table(g) + pad)
                 devg2s[b][c].append(intern(devg2(g)))
     for a in groups:
-        m = len(a.factors)
-        # d1s[c][code], d2s[c][code]: devg1 and devg2 of the composite a -> c
-        # with that code.
-        d1s = [[None] * c.order() ** m for c in groups]
-        d2s = [[None] * c.order() ** m for c in groups]
+        # composites[c][images]: devg1 and devg2 of the composite a -> c with
+        # those generator images.
+        composites = [{} for _ in groups]
         for b, code_b in enumerate(coded):
             # Each f : a -> b is kept as its columns and devg1(f) alone, and
             # rebuilt from its columns when a composite or witness needs it.
@@ -433,23 +452,21 @@ def check_group_composition(u: Universe):
                 f_columns.append(code_b.columns(f))
                 f_devg1.append(intern(devg1(f)))
             for c, code_c in enumerate(coded):
-                size, d1_known, d2_known = groups[c].order(), d1s[c], d2s[c]
+                known = composites[c]
                 gs = enumerate_homs(groups[b], groups[c])
                 for g, g_table, d2g in zip(gs, tables[b][c], devg2s[b][c]):
                     for columns, d1f in zip(f_columns, f_devg1):
-                        code = 0
-                        for col in columns:
-                            code = code * size + g_table[col]
-                        d1h = d1_known[code]
-                        if d1h is None:
+                        images = columns.translate(g_table)
+                        pair = known.get(images)
+                        if pair is None:
                             h = code_b.hom(a, columns).then(g)
-                            if code_c.columns(h) != bytes(g_table[col] for col in columns):
+                            if code_c.columns(h) != images:
                                 raise AssertionError("composite disagrees with its generator images")
-                            d1h = d1_known[code] = intern(devg1(h))
-                            d2_known[code] = intern(devg2(h))
+                            pair = known[images] = (intern(devg1(h)), intern(devg2(h)))
+                        d1h, d2h = pair
                         if not embeds[d1h][d1f]:
                             case = "first"
-                        elif not embeds[d2g][d2_known[code]]:
+                        elif not embeds[d2g][d2h]:
                             case = "second"
                         else:
                             yield None
@@ -513,10 +530,11 @@ def check_tilde_empty(u: Universe):
 def check_tilde_lemma(u: Universe):
     for nx, ny, f in mappings(u.max_powerset_base):
         tilde = direct_image_map(f)
+        inj, surj = _inj_direct(f), _surj_direct(f)
         ok = (
-            (_inj_direct(f) == tilde.is_injective())
-            and (_surj_direct(f) == tilde.is_surjective())
-            and ((_inj_direct(f) and _surj_direct(f)) == tilde.is_bijective())
+            inj == tilde.is_injective()
+            and surj == tilde.is_surjective()
+            and (inj and surj) == tilde.is_bijective()
         )
         yield None if ok else _pair_witness(nx, ny, f)
 
@@ -531,11 +549,12 @@ def check_preimage_lemma(u: Universe):
     for nx, ny, f in mappings(u.max_powerset_base):
         pre = preimage_map(f)
         restricted = restrict_preimage_to_image(f)
+        inj, surj = _inj_direct(f), _surj_direct(f)
         ok = (
-            (pre.is_surjective() == _inj_direct(f))
+            pre.is_surjective() == inj
             and restricted.is_injective()
-            and (pre.is_injective() == _surj_direct(f))
-            and (pre.is_bijective() == (_inj_direct(f) and _surj_direct(f)))
+            and pre.is_injective() == surj
+            and pre.is_bijective() == (inj and surj)
         )
         yield None if ok else _pair_witness(nx, ny, f)
 
@@ -547,15 +566,19 @@ def check_preimage_lemma(u: Universe):
     "retracts preimages on subsets of the image",
 )
 def check_galois_identities(u: Universe):
+    image_subsets: dict[int, list[int]] = {}
     for nx, ny, f in mappings(u.max_powerset_base):
-        tilde = direct_image_map(f)
-        pre = preimage_map(f)
+        tilde = direct_image_map(f).table
+        pre = preimage_map(f).table
         img = image(f).bits
-        expand_ok = all(a & ~pre.table[tilde.table[a]] == 0 for a in range(1 << nx))
-        equal_all = all(pre.table[tilde.table[a]] == a for a in range(1 << nx))
-        collapse_ok = all(
-            tilde.table[pre.table[v]] == v for v in range(1 << ny) if v & ~img == 0
-        )
+        if img not in image_subsets:
+            image_subsets[img] = _image_subsets(img)
+        subsets = image_subsets[img]
+        # back[a] is the preimage of the image of a.
+        back = [pre[t] for t in tilde]
+        expand_ok = [a | b for a, b in enumerate(back)] == back
+        equal_all = back == list(range(1 << nx))
+        collapse_ok = [tilde[pre[v]] for v in subsets] == subsets
         ok = expand_ok and collapse_ok and (equal_all == _inj_direct(f))
         yield None if ok else _pair_witness(nx, ny, f)
 
@@ -573,7 +596,7 @@ def check_kappa_lemma(u: Universe):
     for nx, ny, f in mappings(u.max_powerset_base):
         pre = preimage_map(f)
         ka = kappa(pre)
-        bijection = ka.is_injective() and ka.is_surjective()
+        bijection = ka.is_bijective()
         discrete_on_py = kernel_partition(pre) == bottoms[ny]
         surj = _surj_direct(f)
         ok = bijection and discrete_on_py == surj and (not surj or ka == singletons[ny])
@@ -591,14 +614,14 @@ def check_preimage_deviation_lemma(u: Universe):
         pre = preimage_map(f)
         dev = deviation(pre)
         ka = kappa(pre)
-        kappa_bijection = ka.is_injective() and ka.is_surjective()
-        injective_form = dev.missed.bits == 0 and kappa_bijection
+        injective_form = dev.missed.bits == 0 and ka.is_bijective()
         surjective_form = dev.part == bottoms[ny]
         bijective_form = surjective_form and dev.missed.bits == 0
+        inj, surj = _inj_direct(f), _surj_direct(f)
         ok = (
-            injective_form == _inj_direct(f)
-            and surjective_form == _surj_direct(f)
-            and bijective_form == (_inj_direct(f) and _surj_direct(f))
+            injective_form == inj
+            and surjective_form == surj
+            and bijective_form == (inj and surj)
         )
         yield None if ok else _pair_witness(nx, ny, f)
 
@@ -717,27 +740,6 @@ def check_tilde_deviation_computed(u: Universe):
             yield None if ok else _pair_witness(nx, ny, f)
 
 
-def _composition_identities_hold(f: Mapping) -> bool:
-    tilde = direct_image_map(f)
-    pre = preimage_map(f)
-    restricted = restrict_preimage_to_image(f)
-    if not restricted.is_injective():
-        return False
-    if _inj_direct(f) and any(pre.table[tilde.table[a]] != a for a in range(1 << f.dom.size)):
-        return False
-    img = image(f).elements()
-    for v in range(1 << len(img)):
-        ybits = 0
-        for j, yy in enumerate(img):
-            if v >> j & 1:
-                ybits |= 1 << yy
-        if tilde.table[restricted.table[v]] != ybits:
-            return False
-    return not _surj_direct(f) or all(
-        tilde.table[pre.table[v]] == v for v in range(1 << f.cod.size)
-    )
-
-
 @claim(
     "3.58-3.61",
     "preimage after extension is the identity for injective mappings, "
@@ -746,8 +748,23 @@ def _composition_identities_hold(f: Mapping) -> bool:
     "the restricted preimage is injective",
 )
 def check_composition_identities(u: Universe):
+    image_subsets: dict[int, list[int]] = {}
     for nx, ny, f in mappings(u.max_powerset_base):
-        yield None if _composition_identities_hold(f) else _pair_witness(nx, ny, f)
+        tilde = direct_image_map(f).table
+        pre = preimage_map(f).table
+        restricted = restrict_preimage_to_image(f)
+        img = image(f).bits
+        if img not in image_subsets:
+            image_subsets[img] = _image_subsets(img)
+        ok = (
+            restricted.is_injective()
+            and (not _inj_direct(f) or [pre[t] for t in tilde] == list(range(1 << nx)))
+            # The restricted preimage is indexed by subsets of the image as
+            # _image_subsets lists them, so extension after it is the inclusion.
+            and [tilde[v] for v in restricted.table] == image_subsets[img]
+            and (not _surj_direct(f) or [tilde[v] for v in pre] == list(range(1 << ny)))
+        )
+        yield None if ok else _pair_witness(nx, ny, f)
 
 
 # --- chu spaces --------------------------------------------------------------
@@ -842,10 +859,11 @@ def check_chu_category_laws(u: Universe):
 def check_embedding_functorial(u: Universe):
     for nx, ny, nz in size_triples(min(u.max_powerset_base, MAX_EXTENSION_BASE)):
         y = FiniteSet(ny)
+        gs = [(g, embed(g)) for g in enumerate_mappings(y, FiniteSet(nz))]
         for f in enumerate_mappings(FiniteSet(nx), y):
             ef = embed(f)
-            for g in enumerate_mappings(y, FiniteSet(nz)):
-                ok = embed(f.then(g)) == compose(ef, embed(g))
+            for g, eg in gs:
+                ok = embed(f.then(g)) == compose(ef, eg)
                 yield None if ok else _composite_witness([nx, ny, nz], f, g)
 
 

@@ -196,7 +196,8 @@ class Mapping:
         """Diagrammatic composite: first self, then other."""
         if self.cod != other.dom:
             raise ValueError("composite needs matching middle carrier")
-        return Mapping(self.dom, other.cod, tuple(map(other.table.__getitem__, self.table)))
+        table = other.table
+        return Mapping(self.dom, other.cod, tuple([table[y] for y in self.table]))
 
     def is_injective(self) -> bool:
         return len(set(self.table)) == len(self.table)
@@ -205,7 +206,7 @@ class Mapping:
         return len(set(self.table)) == self.cod.size
 
     def is_bijective(self) -> bool:
-        return self.is_injective() and self.is_surjective()
+        return len(self.table) == self.cod.size == len(set(self.table))
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,21 +271,17 @@ def kernel_partition(f: Mapping) -> Partition:
 
 
 def canonical_factorization(f: Mapping) -> Factorization:
-    part = kernel_partition(f)
-    img = image(f).elements()
+    # Kernel blocks are ordered by least element, so block i is the fibre of
+    # the i-th distinct value of the table in order of first occurrence.
+    block_of = {y: i for i, y in enumerate(dict.fromkeys(f.table))}
+    img = tuple(sorted(block_of))
     positions = {y: j for j, y in enumerate(img)}
 
-    block_of = [0] * f.dom.size
-    for i, blk in enumerate(part.blocks):
-        for x in _elements(blk):
-            block_of[x] = i
-
-    quotient = FiniteSet(len(part.blocks))
+    quotient = FiniteSet(len(block_of))
     img_set = FiniteSet(len(img))
 
-    proj = Mapping(f.dom, quotient, tuple(block_of))
-    mid_table = tuple(positions[f.table[(blk & -blk).bit_length() - 1]] for blk in part.blocks)
-    mid = Mapping(quotient, img_set, mid_table)
+    proj = Mapping(f.dom, quotient, tuple([block_of[y] for y in f.table]))
+    mid = Mapping(quotient, img_set, tuple([positions[y] for y in block_of]))
     incl = Mapping(img_set, f.cod, img)
     return Factorization(proj, mid, incl)
 

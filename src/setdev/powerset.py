@@ -86,8 +86,25 @@ def kappa(pre: Mapping) -> Mapping:
     y whose singleton has a nonempty preimage. Kernel blocks are ordered by
     least element, so a block's index is the order in which its preimage
     value first occurs in the preimage table. It is a bijection for every f.
+
+    Raises ValueError unless both carriers are powersets, the empty set
+    pulls back to itself and the singletons pull back to disjoint sets
+    covering the domain of f, as they do under a preimage map.
     """
-    img = [y for y in range(pre.dom.size.bit_length() - 1) if pre.table[1 << y]]
+    size, cod_size = pre.dom.size, pre.cod.size
+    if size.bit_count() != 1 or cod_size.bit_count() != 1:
+        raise ValueError("kappa: not a preimage map, a carrier is no powerset")
+    if pre.table[0]:
+        raise ValueError("kappa: not a preimage map, the empty set pulls back to a nonempty set")
+    singles = [pre.table[1 << y] for y in range(size.bit_length() - 1)]
+    covered = 0
+    for single in singles:
+        if single & covered:
+            raise ValueError("kappa: not a preimage map, two singletons pull back to meeting sets")
+        covered |= single
+    if covered != cod_size - 1:
+        raise ValueError("kappa: not a preimage map, the singletons' preimages miss part of the domain")
+    img = [y for y, single in enumerate(singles) if single]
     block_of = {v: i for i, v in enumerate(dict.fromkeys(pre.table))}
     # From a list, not a generator: tuples grown by resizing pile up in the free lists.
     table = tuple([block_of[pre.table[u]] for u in _unions([1 << y for y in img])])

@@ -128,6 +128,20 @@ def test_factorization_exhaustive_small():
                 assert fact.recompose() == f
 
 
+def test_factorization_projects_onto_the_kernel_partition():
+    # proj is the surjection onto the kernel blocks in canonical order and
+    # incl lists the image, so the factorization is the canonical one.
+    for nx in range(4):
+        for ny in range(4):
+            for f in enumerate_mappings(FiniteSet(nx), FiniteSet(ny)):
+                fact = canonical_factorization(f)
+                fibres = [0] * fact.proj.cod.size
+                for x, block in enumerate(fact.proj.table):
+                    fibres[block] |= 1 << x
+                assert tuple(fibres) == kernel_partition(f).blocks
+                assert fact.incl.table == image(f).elements()
+
+
 # --- deviation and classification ---------------------------------------------
 
 

@@ -8,52 +8,175 @@ other, and pins the witness and instance count at which the claim refutes.
 import pytest
 
 from setdev import claims
-from setdev.finset import FiniteSet, Mapping, discrete, indiscrete
+from setdev.chu import ChuMorphism
+from setdev.finset import (
+    FiniteSet,
+    Mapping,
+    Partition,
+    SubsetOf,
+    canonical_factorization,
+    discrete,
+    indiscrete,
+)
 from setdev.powerset import preimage_map
-from setdev.verifier import VERDICT_REFUTED, Universe, check_claim
+from setdev.verifier import VERDICT_REFUTED, Universe, check_claim, enumerate_mappings, size_triples
+
+
+def _m(nx, ny, table):
+    return Mapping(FiniteSet(nx), FiniteSet(ny), tuple(table))
+
+
+def _pair(f, **extra):
+    return {"x_size": f.dom.size, "y_size": f.cod.size, "f": f.to_json_dict(), **extra}
+
+
+def _at(sizes, f, g):
+    nx, ny, nz = sizes
+    return {
+        "sizes": sizes,
+        "f": {"dom": nx, "cod": ny, "table": f},
+        "g": {"dom": ny, "cod": nz, "table": g},
+    }
+
 
 # (0, 0, 1) : 3 -> 2 glues 0 and 1.
-_GLUING = Mapping(FiniteSet(3), FiniteSet(2), (0, 0, 1))
-# The preimage map of (1) : 1 -> 2, an injective mapping that misses 0.
-_PRE = preimage_map(Mapping(FiniteSet(1), FiniteSet(2), (1,)))
-_MAPPING_1_2 = {"x_size": 1, "y_size": 2, "f": {"dom": 1, "cod": 2, "table": [1]}}
+_GLUING = _m(3, 2, (0, 0, 1))
+# (1) : 1 -> 2, an injective mapping that misses 0, and its preimage map.
+_MISSES_0 = _m(1, 2, (1,))
+_PRE = preimage_map(_MISSES_0)
+_IDENTITY_2 = Mapping.identity(FiniteSet(2))
+_CONSTANT_2_1 = _m(2, 1, (0, 0))
+_THREE = FiniteSet(3)
+# {0, 1}{2}: the kernel of (0, 0, 1).
+_GLUED = Partition(_THREE, (0b011, 0b100))
+# (0, 0, 1) on three elements, first composed at (3, 2, 3) from f = (0, 0, 1)
+# and g = (0, 1). Both f and g were composed before it in that signature,
+# each time to a constant map, so a memo keyed by f alone or by g alone
+# never asks for its kernel or image.
+_COMPOSITE = _m(3, 3, (0, 0, 1))
+_POWERSET_2 = Universe(max_powerset_base=2)
+_TRIPLES_3 = Universe(max_triple_size=3)
+
+ROWS = {
+    # The factorization of (0, 1, 1) handed out for (0, 0, 1): it recomposes wrongly.
+    "0.3-factorization": (
+        "0.3", "canonical_factorization", (_GLUING,), canonical_factorization(_m(3, 2, (0, 1, 1))),
+        Universe(max_set_size=3), _pair(_GLUING), 27,
+    ),
+    # A gluing mapping's kernel read as discrete.
+    "1.3-kernel": (
+        "1.3", "kernel_partition", (_GLUING,), discrete(_THREE),
+        Universe(max_set_size=3), _pair(_GLUING, kernel=[[0], [1], [2]]), 27,
+    ),
+    # {0, 1} <= {0}{1} affirmed, so refinement is not antisymmetric.
+    "partition-order-leq": (
+        "partition-order", "partition_leq", (indiscrete(FiniteSet(2)), discrete(FiniteSet(2))), True,
+        Universe(max_set_size=3), {"size": 2, "p": [[0, 1]], "q": [[0], [1]]}, 5,
+    ),
+    # The composite's kernel read as discrete, below the kernel of f.
+    "T1.1-kernel": (
+        "T1.1", "kernel_partition", (_COMPOSITE,), discrete(_THREE),
+        _TRIPLES_3, _at([3, 2, 3], [0, 0, 1], [0, 1]), 671,
+    ),
+    # {0, 1}{2} <= {0, 1}{2} denied. f = (0, 0, 1) met only constant
+    # composites before, so a row read by f's kernel alone misses it.
+    "T1.1-leq-row": (
+        "T1.1", "partition_leq", (_GLUED, _GLUED), False,
+        _TRIPLES_3, _at([3, 2, 2], [0, 0, 1], [0, 1]), 369,
+    ),
+    # {0, 1}{2} <= {0, 1, 2} denied. The constant f met the single block
+    # first, so a column read by the composite's kernel alone misses it.
+    "T1.1-leq-column": (
+        "T1.1", "partition_leq", (_GLUED, indiscrete(_THREE)), False,
+        _TRIPLES_3, _at([3, 2, 1], [0, 0, 1], [0, 0]), 161,
+    ),
+    # The composite's image read as everything, outside the image of g.
+    "1.12-image": (
+        "1.12", "image", (_COMPOSITE,), SubsetOf.full(_THREE),
+        _TRIPLES_3, _at([3, 2, 3], [0, 0, 1], [0, 1]), 671,
+    ),
+    # The extension of (1) sends the nonempty {0} to the empty set.
+    "3.18-tilde": (
+        "3.18", "direct_image_map", (_MISSES_0,), _m(2, 4, (0, 0)),
+        _POWERSET_2, _pair(_MISSES_0, subset=[0]), 9,
+    ),
+    # The extension of the identity glues {0} and {1}: no longer injective.
+    "L3.1-tilde": (
+        "L3.1", "direct_image_map", (_IDENTITY_2,), _m(4, 4, (0, 1, 1, 3)),
+        _POWERSET_2, _pair(_IDENTITY_2), 9,
+    ),
+    # The restricted preimage of (1) glues both subsets of its image.
+    "L3.2-restricted": (
+        "L3.2", "restrict_preimage_to_image", (_MISSES_0,), _m(2, 2, (0, 0)),
+        _POWERSET_2, _pair(_MISSES_0), 6,
+    ),
+    # The restricted preimage of the identity swaps {0} and {1}: still
+    # injective, but extension after it is no longer the inclusion.
+    "3.58-3.61-restricted": (
+        "3.58-3.61", "restrict_preimage_to_image", (_IDENTITY_2,), _m(4, 4, (0, 2, 1, 3)),
+        _POWERSET_2, _pair(_IDENTITY_2), 9,
+    ),
+    # The preimage of the identity sends {0, 1} to {1}, which misses 0.
+    "3.29-3.30-pre": (
+        "3.29-3.30", "preimage_map", (_IDENTITY_2,), _m(4, 4, (0, 1, 2, 2)),
+        _POWERSET_2, _pair(_IDENTITY_2), 9,
+    ),
+    # kappa read as constant, so it is no bijection.
+    "L3.3a-kappa": (
+        "L3.3a", "kappa", (_PRE,), _m(2, 2, (0, 0)), _POWERSET_2, _pair(_MISSES_0), 6,
+    ),
+    # The same lie makes the injective mapping fail the injective form.
+    "L3.3b-kappa": (
+        "L3.3b", "kappa", (_PRE,), _m(2, 2, (0, 0)), _POWERSET_2, _pair(_MISSES_0), 6,
+    ),
+    # The constant 2 -> 1 embeds with a backward map that forgets every
+    # subset; first met as the outer map g.
+    "E-functoriality-embed": (
+        "E-functoriality", "embed", (_CONSTANT_2_1,), ChuMorphism(_CONSTANT_2_1, _m(2, 4, (0, 0))),
+        _POWERSET_2, _at([1, 2, 1], [0], [0, 0]), 15,
+    ),
+}
+
+
+def _lie(monkeypatch, name, lied_about, answer):
+    honest = getattr(claims, name)
+    monkeypatch.setattr(claims, name, lambda *args: answer if args == lied_about else honest(*args))
 
 
 @pytest.mark.parametrize(
-    "claim_id, name, lied_about, answer, universe, witness, instances",
-    [
-        # A gluing mapping's kernel read as discrete.
-        (
-            "1.3",
-            "kernel_partition",
-            (_GLUING,),
-            discrete(FiniteSet(3)),
-            Universe(max_set_size=3),
-            {"x_size": 3, "y_size": 2, "f": _GLUING.to_json_dict(), "kernel": [[0], [1], [2]]},
-            27,
-        ),
-        # {0, 1} <= {0}{1} affirmed, so refinement is not antisymmetric.
-        (
-            "partition-order",
-            "partition_leq",
-            (indiscrete(FiniteSet(2)), discrete(FiniteSet(2))),
-            True,
-            Universe(max_set_size=3),
-            {"size": 2, "p": [[0, 1]], "q": [[0], [1]]},
-            5,
-        ),
-        # kappa read as constant, so it is no bijection.
-        ("L3.3a", "kappa", (_PRE,), Mapping(FiniteSet(2), FiniteSet(2), (0, 0)), Universe(max_powerset_base=2), _MAPPING_1_2, 6),
-        # The same lie makes the injective mapping fail the injective form.
-        ("L3.3b", "kappa", (_PRE,), Mapping(FiniteSet(2), FiniteSet(2), (0, 0)), Universe(max_powerset_base=2), _MAPPING_1_2, 6),
-    ],
-    ids=["1.3-kernel", "partition-order-leq", "L3.3a-kappa", "L3.3b-kappa"],
+    "claim_id, name, lied_about, answer, universe, witness, instances", list(ROWS.values()), ids=list(ROWS)
 )
 def test_claim_refutes_a_lie_about_one_argument(
     monkeypatch, claim_id, name, lied_about, answer, universe, witness, instances
 ):
-    honest = getattr(claims, name)
-    monkeypatch.setattr(claims, name, lambda *args: answer if args == lied_about else honest(*args))
+    _lie(monkeypatch, name, lied_about, answer)
     report = check_claim(claim_id, universe)
     assert report.verdict == VERDICT_REFUTED
     assert (report.witness, report.instances) == (witness, instances)
+
+
+def _triple_reference(universe, claim_id):
+    """T1.1 or 1.12 as the plain loop over every f.then(g): (first witness, instances)."""
+    instances = 0
+    for nx, ny, nz in size_triples(universe.max_triple_size):
+        y = FiniteSet(ny)
+        for g in enumerate_mappings(y, FiniteSet(nz)):
+            for f in enumerate_mappings(FiniteSet(nx), y):
+                instances += 1
+                h = f.then(g)
+                if claim_id == "T1.1":
+                    ok = claims.partition_leq(claims.kernel_partition(f), claims.kernel_partition(h))
+                else:
+                    ok = claims.image(h).bits & ~claims.image(g).bits == 0
+                if not ok:
+                    return {"sizes": [nx, ny, nz], "f": f.to_json_dict(), "g": g.to_json_dict()}, instances
+    return None, instances
+
+
+@pytest.mark.parametrize("row", [key for key, row in ROWS.items() if row[0] in ("T1.1", "1.12")])
+def test_composite_rows_are_where_the_plain_loop_refutes(monkeypatch, row):
+    # T1.1 and 1.12 memoise per distinct composite table and per pair of
+    # kernels; their pinned witnesses are those of the loop without memos.
+    claim_id, name, lied_about, answer, universe, witness, instances = ROWS[row]
+    _lie(monkeypatch, name, lied_about, answer)
+    assert _triple_reference(universe, claim_id) == (witness, instances)

@@ -10,7 +10,7 @@ from setdev.powerset import (
     preimage_map,
     restrict_preimage_to_image,
 )
-from setdev.verifier import enumerate_mappings
+from setdev.verifier import VERDICT_VERIFIED, Universe, check_claim, enumerate_mappings
 
 
 def m(nx, ny, table):
@@ -126,6 +126,28 @@ def test_kappa_bijective_full_size():
     bij = m(3, 3, [1, 2, 0])
     ka = kappa(preimage_map(bij))
     assert ka.dom.size == 8 and ka.cod.size == 8 and ka.is_bijective()
+
+
+@pytest.mark.parametrize(
+    "pre",
+    [
+        Mapping.identity(FiniteSet(3)),  # carriers of no powerset
+        m(0, 1, []),  # no entry for the empty subset
+        m(2, 2, [1, 1]),  # the empty subset pulls back to {0}
+        m(4, 4, [0, 1, 1, 1]),  # the singletons {0} and {1} pull back to overlapping sets
+        m(2, 4, [0, 1]),  # the one singleton pulls back to {0}, which misses 1
+    ],
+    ids=["identity-3", "empty", "empty-subset", "overlap", "no-cover"],
+)
+def test_kappa_refuses_what_is_no_preimage_map(pre):
+    with pytest.raises(ValueError, match="not a preimage map"):
+        kappa(pre)
+
+
+@pytest.mark.parametrize("claim_id", ["L3.3a", "L3.3b"])
+def test_kappa_guard_passes_every_preimage_map_of_the_sweeps(claim_id):
+    report = check_claim(claim_id, Universe(max_powerset_base=4))
+    assert (report.verdict, report.witness, report.instances) == (VERDICT_VERIFIED, None, 499)
 
 
 @given(st.data())
