@@ -543,8 +543,9 @@ def enumerate_homs(dom: FinAbGroup, cod: FinAbGroup) -> Iterator[GroupHom]:
             step = b // gcd(a, b)
             choices.append(range(0, b, step))
     rows = [slice(i * m, (i + 1) * m) for i in range(k)]
+    # From a list, not a generator: tuples grown by resizing pile up in the free lists.
     for flat in product(*choices):
-        yield GroupHom(dom, cod, tuple(flat[row] for row in rows))
+        yield GroupHom(dom, cod, tuple([flat[row] for row in rows]))
 
 
 def _partitions_of(n: int) -> Iterator[tuple[int, ...]]:

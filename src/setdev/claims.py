@@ -49,13 +49,13 @@ from .finset import (
     FiniteSet,
     Mapping,
     Partition,
-    SubsetOf,
     all_partitions,
     canonical_factorization,
     classify,
     discrete,
     deviation,
     deviation_leq,
+    elements,
     image,
     indiscrete,
     kernel_partition,
@@ -116,7 +116,7 @@ def _pair_witness(nx: int, ny: int, f: Mapping, **extra) -> dict:
 
 def _subsets(y: FiniteSet, family: int) -> list[list[int]]:
     """The subsets of y whose bits are set in family, a bitmask over P(y)."""
-    return sorted(SubsetOf(y, b).to_list() for b in range(1 << y.size) if family >> b & 1)
+    return sorted(list(elements(b)) for b in range(1 << y.size) if family >> b & 1)
 
 
 def _composite_witness(sizes: list[int], f: Mapping, g: Mapping) -> dict:
@@ -222,14 +222,14 @@ def check_least_deviation(u: Universe):
     for nx, ny in size_pairs(u.max_set_size):
         x, y = FiniteSet(nx), FiniteSet(ny)
         full = (1 << ny) - 1
-        least = Deviation(discrete(x), SubsetOf(y))
+        least = Deviation(discrete(x), y, 0)
         # One pass keeps the distinct deviations and two flags per mapping,
         # not the mappings; a second pass re-enumerates them in order.
         devs = set()
         bijective, at_least = [], []
         for f in enumerate_mappings(x, y):
-            part, img = kernel_partition(f), image(f).bits
-            devs.add(Deviation(part, SubsetOf(y, full ^ img)))
+            part, img = kernel_partition(f), image(f)
+            devs.add(Deviation(part, y, full ^ img))
             bijective.append(_inj_direct(f) and _surj_direct(f))
             at_least.append(part == least.part and img == full)
         least_is_below_all = all(deviation_leq(least, d) for d in devs)
@@ -285,13 +285,13 @@ def check_dev2_outer(u: Universe):
         f_tables = [bytes(f.table) for f in fs]
         images: dict[bytes, int] = {}
         for g in enumerate_mappings(y, FiniteSet(nz)):
-            img_g = image(g).bits
+            img_g = image(g)
             lookup = _lookup(g)
             for f, f_table in zip(fs, f_tables):
                 table = f_table.translate(lookup)
                 img = images.get(table)
                 if img is None:
-                    img = images[table] = image(_composite(f, g, table)).bits
+                    img = images[table] = image(_composite(f, g, table))
                 yield None if img & ~img_g == 0 else _composite_witness([nx, ny, nz], f, g)
 
 
@@ -306,7 +306,7 @@ def check_dev2_incomparable(u: Universe):
     first = second = None
     for n in range(u.max_triple_size + 1):
         maps = list(enumerate_mappings(FiniteSet(n), FiniteSet(n)))
-        devs = [image(f).complement().bits for f in maps]
+        devs = [image(f) ^ ((1 << n) - 1) for f in maps]
         for (f, df), (g, dg) in product(zip(maps, devs), repeat=2):
             if first is None and df & ~dg == 0 and df != dg:
                 first = {"size": n, "f": f.to_json_dict(), "g": g.to_json_dict()}
@@ -342,8 +342,8 @@ def check_rho_not_functor(u: Universe):
                     "g": g.to_json_dict(),
                     "kernel_f": part_f.to_lists(),
                     "kernel_g": part_g.to_lists(),
-                    "image_f": img_f.to_list(),
-                    "image_g": img_g.to_list(),
+                    "image_f": list(elements(img_f)),
+                    "image_g": list(elements(img_g)),
                 }
 
 
@@ -523,7 +523,7 @@ def check_tilde_empty(u: Universe):
     for nx, ny, f in mappings(u.max_powerset_base):
         for a, fa in enumerate(direct_image_map(f).table):
             ok = (fa == 0) == (a == 0)
-            yield None if ok else _pair_witness(nx, ny, f, subset=SubsetOf(f.dom, a).to_list())
+            yield None if ok else _pair_witness(nx, ny, f, subset=list(elements(a)))
 
 
 @claim("L3.1", "a mapping and its subset extension are injective, surjective, bijective together")
@@ -570,7 +570,7 @@ def check_galois_identities(u: Universe):
     for nx, ny, f in mappings(u.max_powerset_base):
         tilde = direct_image_map(f).table
         pre = preimage_map(f).table
-        img = image(f).bits
+        img = image(f)
         if img not in image_subsets:
             image_subsets[img] = _image_subsets(img)
         subsets = image_subsets[img]
@@ -614,9 +614,9 @@ def check_preimage_deviation_lemma(u: Universe):
         pre = preimage_map(f)
         dev = deviation(pre)
         ka = kappa(pre)
-        injective_form = dev.missed.bits == 0 and ka.is_bijective()
+        injective_form = dev.missed == 0 and ka.is_bijective()
         surjective_form = dev.part == bottoms[ny]
-        bijective_form = surjective_form and dev.missed.bits == 0
+        bijective_form = surjective_form and dev.missed == 0
         inj, surj = _inj_direct(f), _surj_direct(f)
         ok = (
             injective_form == inj
@@ -628,7 +628,7 @@ def check_preimage_deviation_lemma(u: Universe):
 
 def _tilde_missed_expected(f: Mapping) -> int:
     # Bitmask over P(cod): subsets not contained in the image.
-    img = image(f).bits
+    img = image(f)
     return sum(1 << b for b in range(1 << f.cod.size) if b & ~img)
 
 
@@ -656,7 +656,7 @@ def check_theorem_injective(u: Universe):
             kernel_partition(f) == discrete(f.dom),
             kernel_partition(tilde) == discrete(tilde.dom)
             and _missed_mask(tilde) == _tilde_missed_expected(f),
-            deviation(pre).missed.bits == 0,
+            deviation(pre).missed == 0,
         )
         yield None if len(set(items)) == 1 else _pair_witness(nx, ny, f, items=list(items))
 
@@ -670,7 +670,7 @@ def check_theorem_surjective(u: Universe):
             _surj_direct(f),
             tilde.is_surjective(),
             pre.is_injective(),
-            image(f).complement().bits == 0,
+            image(f) == (1 << ny) - 1,
             _missed_mask(tilde) == 0,
             kernel_partition(pre) == discrete(pre.dom),
         )
@@ -686,7 +686,7 @@ def check_theorem_bijective(u: Universe):
             _inj_direct(f) and _surj_direct(f),
             tilde.is_bijective(),
             pre.is_bijective(),
-            kernel_partition(f) == discrete(f.dom) and image(f).complement().bits == 0,
+            kernel_partition(f) == discrete(f.dom) and image(f) == (1 << ny) - 1,
             kernel_partition(tilde) == discrete(tilde.dom) and _missed_mask(tilde) == 0,
             kernel_partition(pre) == discrete(pre.dom) and _missed_mask(pre) == 0,
         )
@@ -712,7 +712,7 @@ def check_tilde_deviation_literal(u: Universe):
     """
     for nx, ny, f in mappings(min(u.max_powerset_base, MAX_EXTENSION_BASE)):
         tilde = direct_image_map(f)
-        comp = image(f).complement().bits
+        comp = image(f) ^ ((1 << ny) - 1)
         claimed = sum(1 << b for b in range(1, 1 << ny) if b & ~comp == 0)
         missed = _missed_mask(tilde)
         literal_holds = kernel_partition(tilde) == discrete(tilde.dom) and missed == claimed
@@ -753,7 +753,7 @@ def check_composition_identities(u: Universe):
         tilde = direct_image_map(f).table
         pre = preimage_map(f).table
         restricted = restrict_preimage_to_image(f)
-        img = image(f).bits
+        img = image(f)
         if img not in image_subsets:
             image_subsets[img] = _image_subsets(img)
         ok = (
@@ -909,7 +909,7 @@ def check_evaluation_deviation(u: Universe):
         # Blocks equal to these two masks make the kernel relation the
         # two-case membership rule, so no pairwise comparison can add to it.
         ok = (
-            dev.missed.bits == 0
+            dev.missed == 0
             and dev.part.blocks == expected_blocks
             and all(blk.bit_count() == n * states // 2 for blk in dev.part.blocks)
         )

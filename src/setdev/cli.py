@@ -13,7 +13,7 @@ import sys
 
 from .abgroup import GroupHom, devg
 from .chu import e_space, embed, ex_deviation, morphism_is_valid
-from .finset import Mapping, canonical_factorization, classify, deviation, kernel_partition
+from .finset import Mapping, canonical_factorization, classify, deviation, elements, kernel_partition
 from .powerset import MAX_BASE
 from .verifier import Universe, check_claim, machine_records, registry, text_report
 
@@ -116,7 +116,7 @@ def _dot_deviation(f: Mapping) -> str:
             lines.append(f'    x{x} [label="{x}"];')
         lines.append("  }")
     for y in range(f.cod.size):
-        style = " style=dashed" if y in dev.missed else ""
+        style = " style=dashed" if dev.missed >> y & 1 else ""
         lines.append(f'  y{y} [label="{y}" shape=box{style}];')
     for x, y in enumerate(f.table):
         lines.append(f"  x{x} -> y{y};")
@@ -138,7 +138,7 @@ def cmd_dev(args: argparse.Namespace) -> int:
             "type": "dev",
             "mapping": f.to_json_dict(),
             "partition": dev.part.to_lists(),
-            "missed": dev.missed.to_list(),
+            "missed": list(elements(dev.missed)),
             "flags": list(flags),
             "factorization": {
                 "proj": list(fact.proj.table),
@@ -151,7 +151,7 @@ def cmd_dev(args: argparse.Namespace) -> int:
         out = [
             f"mapping: {json.dumps(f.to_json_dict())}",
             f"kernel partition: {dev.part.to_lists()}",
-            f"missed: {dev.missed.to_list()}",
+            f"missed: {list(elements(dev.missed))}",
             f"flags: {', '.join(flags) if flags else '(none)'}",
             f"factorization: proj {list(fact.proj.table)} onto {fact.proj.cod.size} blocks; "
             f"mid {list(fact.mid.table)}; incl {list(fact.incl.table)} into {f.cod.size}",
@@ -241,7 +241,7 @@ def cmd_chu(args: argparse.Namespace) -> int:
         dev = ex_deviation(f.dom)
         record["evaluation_deviation"] = {
             "block_sizes": [b.bit_count() for b in dev.part.blocks],
-            "missed": dev.missed.to_list(),
+            "missed": list(elements(dev.missed)),
         }
     if args.format == "machine":
         _emit(json.dumps(record, sort_keys=True) + "\n", args.output)

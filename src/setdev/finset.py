@@ -26,8 +26,8 @@ def _is_int(value: object) -> bool:
     return type(value) is int
 
 
-def _elements(mask: int) -> tuple[int, ...]:
-    """The indices of the set bits of mask, ascending."""
+def elements(mask: int) -> tuple[int, ...]:
+    """The elements of the subset with bitmask mask, ascending."""
     out = []
     while mask:
         low = mask & -mask
@@ -45,42 +45,6 @@ class FiniteSet:
     def __post_init__(self) -> None:
         if self.size < 0:
             raise ValueError(f"size must be non-negative, got {self.size}")
-
-
-@dataclass(frozen=True, slots=True)
-class SubsetOf:
-    """Subset of a finite carrier, stored as a bitmask over element indices."""
-
-    base: FiniteSet
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.bits < (1 << self.base.size):
-            raise ValueError("bitmask sets bits outside the carrier")
-
-    @classmethod
-    def full(cls, base: FiniteSet) -> SubsetOf:
-        return cls(base, (1 << base.size) - 1)
-
-    def __contains__(self, x: int) -> bool:
-        return 0 <= x < self.base.size and self.bits >> x & 1 == 1
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def elements(self) -> tuple[int, ...]:
-        return _elements(self.bits)
-
-    def complement(self) -> SubsetOf:
-        return SubsetOf(self.base, self.bits ^ ((1 << self.base.size) - 1))
-
-    def issubset(self, other: SubsetOf) -> bool:
-        if self.base != other.base:
-            raise ValueError("subsets of different carriers are not comparable")
-        return self.bits & ~other.bits == 0
-
-    def to_list(self) -> list[int]:
-        return list(self.elements())
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,7 +75,7 @@ class Partition:
             raise ValueError("blocks must cover the carrier and nothing outside it")
 
     def to_lists(self) -> list[list[int]]:
-        return [list(_elements(blk)) for blk in self.blocks]
+        return [list(elements(blk)) for blk in self.blocks]
 
 
 def discrete(base: FiniteSet) -> Partition:
@@ -214,12 +178,17 @@ class Deviation:
     """How far a mapping is from a bijection.
 
     ``part`` partitions the domain into fibres (trivial iff injective) and
-    ``missed`` is the set of codomain elements with empty fibre (empty iff
-    surjective).
+    ``missed`` is the bitmask of the elements of ``cod`` with empty fibre
+    (zero iff surjective).
     """
 
     part: Partition
-    missed: SubsetOf
+    cod: FiniteSet
+    missed: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.missed < (1 << self.cod.size):
+            raise ValueError("missed set has bits outside the codomain")
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,11 +222,12 @@ class Classification:
         return tuple(n for n, v in zip(names, values) if v)
 
 
-def image(f: Mapping) -> SubsetOf:
+def image(f: Mapping) -> int:
+    """The bitmask of the values of f."""
     bits = 0
     for y in f.table:
         bits |= 1 << y
-    return SubsetOf(f.cod, bits)
+    return bits
 
 
 def kernel_partition(f: Mapping) -> Partition:
@@ -287,7 +257,7 @@ def canonical_factorization(f: Mapping) -> Factorization:
 
 
 def deviation(f: Mapping) -> Deviation:
-    return Deviation(kernel_partition(f), image(f).complement())
+    return Deviation(kernel_partition(f), f.cod, image(f) ^ ((1 << f.cod.size) - 1))
 
 
 def classify(f: Mapping) -> Classification:
@@ -299,7 +269,7 @@ def classify(f: Mapping) -> Classification:
     """
     dev = deviation(f)
     injective = all(blk & (blk - 1) == 0 for blk in dev.part.blocks)
-    surjective = dev.missed.bits == 0
+    surjective = dev.missed == 0
     constant = len(dev.part.blocks) <= 1
     return Classification(injective, surjective, injective and surjective, constant)
 
@@ -326,6 +296,6 @@ def deviation_leq(d: Deviation, e: Deviation) -> bool:
     codomain element that e reaches.
     """
     # Checked up front: a failed refinement would skip the codomain check.
-    if d.part.base != e.part.base or d.missed.base != e.missed.base:
+    if d.part.base != e.part.base or d.cod != e.cod:
         raise ValueError("deviations compare only across a shared domain and codomain")
-    return partition_leq(d.part, e.part) and d.missed.issubset(e.missed)
+    return partition_leq(d.part, e.part) and d.missed & ~e.missed == 0

@@ -8,7 +8,7 @@ MAX_BASE elements.
 
 from __future__ import annotations
 
-from .finset import FiniteSet, Mapping, discrete, image
+from .finset import FiniteSet, Mapping, discrete
 
 # A table over P(X) has 2**|X| entries; 4096 keeps every sweep tractable.
 MAX_BASE = 12
@@ -59,11 +59,9 @@ def restrict_preimage_to_image(f: Mapping) -> Mapping:
     carrier); the restriction is injective for every f, because taking the
     image is a one-sided inverse on subsets of the image.
     """
-    img = image(f).elements()
-    fibres = _fibres(f)
-    return Mapping(
-        power_set(FiniteSet(len(img))), power_set(f.dom), _unions([fibres[y] for y in img])
-    )
+    # The nonempty fibres, in element order, are those of the image.
+    fibres = [fibre for fibre in _fibres(f) if fibre]
+    return Mapping(power_set(FiniteSet(len(fibres))), power_set(f.dom), _unions(fibres))
 
 
 def iota(base: FiniteSet) -> Mapping:
@@ -87,15 +85,14 @@ def kappa(pre: Mapping) -> Mapping:
     least element, so a block's index is the order in which its preimage
     value first occurs in the preimage table. It is a bijection for every f.
 
-    Raises ValueError unless both carriers are powersets, the empty set
-    pulls back to itself and the singletons pull back to disjoint sets
-    covering the domain of f, as they do under a preimage map.
+    Raises ValueError unless both carriers are powersets, the singletons
+    pull back to disjoint sets covering the domain of f and every subset
+    pulls back to the union of its singletons' preimages, as under a
+    preimage map.
     """
     size, cod_size = pre.dom.size, pre.cod.size
     if size.bit_count() != 1 or cod_size.bit_count() != 1:
         raise ValueError("kappa: not a preimage map, a carrier is no powerset")
-    if pre.table[0]:
-        raise ValueError("kappa: not a preimage map, the empty set pulls back to a nonempty set")
     singles = [pre.table[1 << y] for y in range(size.bit_length() - 1)]
     covered = 0
     for single in singles:
@@ -104,8 +101,13 @@ def kappa(pre: Mapping) -> Mapping:
         covered |= single
     if covered != cod_size - 1:
         raise ValueError("kappa: not a preimage map, the singletons' preimages miss part of the domain")
-    img = [y for y, single in enumerate(singles) if single]
+    # A union of no preimages is empty, so this also sends the empty set to itself.
+    if pre.table != _unions(singles):
+        raise ValueError("kappa: not a preimage map, a subset's preimage is not the union of its elements'")
+    # The nonempty preimages of singletons are the fibres over the image, in
+    # element order, so their union table lists the preimages of its subsets.
+    fibres = [single for single in singles if single]
     block_of = {v: i for i, v in enumerate(dict.fromkeys(pre.table))}
     # From a list, not a generator: tuples grown by resizing pile up in the free lists.
-    table = tuple([block_of[pre.table[u]] for u in _unions([1 << y for y in img])])
-    return Mapping(power_set(FiniteSet(len(img))), FiniteSet(len(block_of)), table)
+    table = tuple([block_of[v] for v in _unions(fibres)])
+    return Mapping(power_set(FiniteSet(len(fibres))), FiniteSet(len(block_of)), table)

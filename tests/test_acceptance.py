@@ -138,7 +138,7 @@ def test_chu_embedding_and_evaluation():
         dev = ex_deviation(FiniteSet(n))
         expected = n * (1 << (n - 1))
         sizes_ok = sizes_ok and [b.bit_count() for b in dev.part.blocks] == [expected, expected]
-        sizes_ok = sizes_ok and dev.missed.to_list() == []
+        sizes_ok = sizes_ok and dev.missed == 0
     _report(
         "category laws, functoriality, faithfulness, fullness at <= 3; "
         "evaluation deviation blocks of size n*2^(n-1) at 2 <= n <= 4",

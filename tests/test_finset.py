@@ -5,13 +5,14 @@ from setdev.finset import (
     FiniteSet,
     Mapping,
     Partition,
-    SubsetOf,
+    Deviation,
     all_partitions,
     canonical_factorization,
     classify,
     deviation,
     deviation_leq,
     discrete,
+    elements,
     image,
     indiscrete,
     kernel_partition,
@@ -33,12 +34,14 @@ def test_finite_set_rejects_negative_size():
 
 
 def test_subset_bounds():
-    base = FiniteSet(3)
-    assert SubsetOf(base, 0b101).to_list() == [0, 2]
-    with pytest.raises(ValueError):
-        SubsetOf(base, 1 << 3)
-    with pytest.raises(ValueError):
-        SubsetOf(base, 0b1001)
+    # A subset is a bare bitmask; a deviation range-checks its missed set.
+    assert elements(0b101) == (0, 2)
+    assert elements(0) == ()
+    part, base = discrete(FiniteSet(2)), FiniteSet(3)
+    assert Deviation(part, base, 0b111).missed == 0b111
+    for missed in (1 << 3, 0b1001, -1):
+        with pytest.raises(ValueError, match="outside the codomain"):
+            Deviation(part, base, missed)
 
 
 def test_partition_validation():
@@ -89,9 +92,9 @@ def test_mapping_validation():
 
 
 def test_image_examples():
-    assert image(Mapping.identity(FiniteSet(3))).to_list() == [0, 1, 2]
-    assert image(m(3, 2, [0, 0, 0])).to_list() == [0]
-    assert image(m(3, 3, [0, 0, 2])).to_list() == [0, 2]
+    assert image(Mapping.identity(FiniteSet(3))) == 0b111
+    assert image(m(3, 2, [0, 0, 0])) == 0b001
+    assert image(m(3, 3, [0, 0, 2])) == 0b101
 
 
 def test_kernel_partition_examples():
@@ -139,7 +142,7 @@ def test_factorization_projects_onto_the_kernel_partition():
                 for x, block in enumerate(fact.proj.table):
                     fibres[block] |= 1 << x
                 assert tuple(fibres) == kernel_partition(f).blocks
-                assert fact.incl.table == image(f).elements()
+                assert fact.incl.table == elements(image(f))
 
 
 # --- deviation and classification ---------------------------------------------
@@ -147,13 +150,13 @@ def test_factorization_projects_onto_the_kernel_partition():
 
 def test_deviation_examples():
     dev = deviation(Mapping.identity(FiniteSet(3)))
-    assert dev.part == discrete(FiniteSet(3)) and dev.missed.to_list() == []
+    assert dev.part == discrete(FiniteSet(3)) and dev.missed == 0
 
     dev = deviation(m(3, 2, [0, 0, 0]))
-    assert dev.part.to_lists() == [[0, 1, 2]] and dev.missed.to_list() == [1]
+    assert dev.part.to_lists() == [[0, 1, 2]] and dev.missed == 0b10
 
     dev = deviation(m(2, 3, [0, 2]))
-    assert dev.part == discrete(FiniteSet(2)) and dev.missed.to_list() == [1]
+    assert dev.part == discrete(FiniteSet(2)) and dev.missed == 0b010
 
 
 def test_classification_examples():

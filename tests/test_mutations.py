@@ -8,13 +8,15 @@ other, and pins the witness and instance count at which the claim refutes.
 import pytest
 
 from setdev import claims
-from setdev.chu import ChuMorphism
+from setdev.chu import ChuMorphism, ex_deviation
 from setdev.finset import (
+    Classification,
+    Deviation,
     FiniteSet,
     Mapping,
     Partition,
-    SubsetOf,
     canonical_factorization,
+    deviation,
     discrete,
     indiscrete,
 )
@@ -44,9 +46,11 @@ _GLUING = _m(3, 2, (0, 0, 1))
 # (1) : 1 -> 2, an injective mapping that misses 0, and its preimage map.
 _MISSES_0 = _m(1, 2, (1,))
 _PRE = preimage_map(_MISSES_0)
+_IDENTITY_1 = Mapping.identity(FiniteSet(1))
 _IDENTITY_2 = Mapping.identity(FiniteSet(2))
+_PRE_IDENTITY_2 = preimage_map(_IDENTITY_2)
 _CONSTANT_2_1 = _m(2, 1, (0, 0))
-_THREE = FiniteSet(3)
+_TWO, _THREE = FiniteSet(2), FiniteSet(3)
 # {0, 1}{2}: the kernel of (0, 0, 1).
 _GLUED = Partition(_THREE, (0b011, 0b100))
 # (0, 0, 1) on three elements, first composed at (3, 2, 3) from f = (0, 0, 1)
@@ -67,6 +71,17 @@ ROWS = {
     "1.3-kernel": (
         "1.3", "kernel_partition", (_GLUING,), discrete(_THREE),
         Universe(max_set_size=3), _pair(_GLUING, kernel=[[0], [1], [2]]), 27,
+    ),
+    # The surjective (0, 0, 1) classified as not surjective.
+    "0.8-0.10-classify": (
+        "0.8-0.10", "classify", (_GLUING,), Classification(False, False, False, False),
+        Universe(max_set_size=3), _pair(_GLUING, flags=[]), 27,
+    ),
+    # The least deviation on 2 -> 2 not below that of the constant (0, 0).
+    "L1.1-leq": (
+        "L1.1", "deviation_leq",
+        (Deviation(discrete(_TWO), _TWO, 0), Deviation(indiscrete(_TWO), _TWO, 0b10)), False,
+        Universe(max_set_size=2), _pair(_IDENTITY_2), 9,
     ),
     # {0, 1} <= {0}{1} affirmed, so refinement is not antisymmetric.
     "partition-order-leq": (
@@ -92,7 +107,7 @@ ROWS = {
     ),
     # The composite's image read as everything, outside the image of g.
     "1.12-image": (
-        "1.12", "image", (_COMPOSITE,), SubsetOf.full(_THREE),
+        "1.12", "image", (_COMPOSITE,), 0b111,
         _TRIPLES_3, _at([3, 2, 3], [0, 0, 1], [0, 1]), 671,
     ),
     # The extension of (1) sends the nonempty {0} to the empty set.
@@ -129,11 +144,33 @@ ROWS = {
     "L3.3b-kappa": (
         "L3.3b", "kappa", (_PRE,), _m(2, 2, (0, 0)), _POWERSET_2, _pair(_MISSES_0), 6,
     ),
+    # The preimage map of the identity reported as missing {0, 1}.
+    "L3.3b-deviation": (
+        "L3.3b", "deviation", (_PRE_IDENTITY_2,),
+        Deviation(deviation(_PRE_IDENTITY_2).part, FiniteSet(4), 0b1000),
+        _POWERSET_2, _pair(_IDENTITY_2), 9,
+    ),
+    # The identity on two elements reported as missing 1.
+    "T3.2-image": (
+        "T3.2", "image", (_IDENTITY_2,), 0b01,
+        _POWERSET_2, _pair(_IDENTITY_2, items=[True, True, True, False, True, True]), 9,
+    ),
+    # The identity on one element reported as missing 0: the literal reading
+    # then claims {0} as missed, which the extension reaches.
+    "3.44-literal-image": (
+        "3.44-literal", "image", (_IDENTITY_1,), 0,
+        _POWERSET_2, _pair(_IDENTITY_1, missed_computed=[], missed_claimed=[[0]]), 4,
+    ),
     # The constant 2 -> 1 embeds with a backward map that forgets every
     # subset; first met as the outer map g.
     "E-functoriality-embed": (
         "E-functoriality", "embed", (_CONSTANT_2_1,), ChuMorphism(_CONSTANT_2_1, _m(2, 4, (0, 0))),
         _POWERSET_2, _at([1, 2, 1], [0], [0, 0]), 15,
+    ),
+    # The evaluation matrix over three points reported as missing a letter.
+    "3.11-3.14-ex-deviation": (
+        "3.11-3.14", "ex_deviation", (_THREE,), Deviation(ex_deviation(_THREE).part, _TWO, 0b01),
+        Universe(max_powerset_base=3), {"size": 3}, 2,
     ),
 }
 
@@ -167,7 +204,7 @@ def _triple_reference(universe, claim_id):
                 if claim_id == "T1.1":
                     ok = claims.partition_leq(claims.kernel_partition(f), claims.kernel_partition(h))
                 else:
-                    ok = claims.image(h).bits & ~claims.image(g).bits == 0
+                    ok = claims.image(h) & ~claims.image(g) == 0
                 if not ok:
                     return {"sizes": [nx, ny, nz], "f": f.to_json_dict(), "g": g.to_json_dict()}, instances
     return None, instances

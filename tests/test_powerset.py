@@ -136,8 +136,9 @@ def test_kappa_bijective_full_size():
         m(2, 2, [1, 1]),  # the empty subset pulls back to {0}
         m(4, 4, [0, 1, 1, 1]),  # the singletons {0} and {1} pull back to overlapping sets
         m(2, 4, [0, 1]),  # the one singleton pulls back to {0}, which misses 1
+        m(4, 4, [0, 1, 2, 0]),  # {0, 1} pulls back to the empty set, not to {0, 1}
     ],
-    ids=["identity-3", "empty", "empty-subset", "overlap", "no-cover"],
+    ids=["identity-3", "empty", "empty-subset", "overlap", "no-cover", "no-union"],
 )
 def test_kappa_refuses_what_is_no_preimage_map(pre):
     with pytest.raises(ValueError, match="not a preimage map"):
@@ -170,6 +171,6 @@ def test_image_retracts_preimage_on_image_subsets(data):
     f = m(nx, ny, table)
     tilde = direct_image_map(f)
     pre = preimage_map(f)
-    img = image(f).bits
+    img = image(f)
     v = data.draw(st.integers(min_value=0, max_value=(1 << ny) - 1)) & img
     assert tilde.table[pre.table[v]] == v
