@@ -1,18 +1,22 @@
 """The claim registry: every law of the deviation calculus, made executable.
 
-Each claim is a generator decorated with ``@claim``. It sweeps its slice of
-the universe in a fixed order and yields one item per instance: None when
-the instance passes, or the witness. The driver in ``verifier`` counts the
-items, stops at the first witness and turns the claim's kind into a
-verdict, so witnesses are minimal for the enumeration order. Direct
-definitional tests used as the second route of a cross-check are written
-out literally here rather than reusing library shortcuts.
+Each claim is a check declared with ``@claim`` on one of the domains below,
+which fix the Universe field it sweeps and the layer cap, if any, below it;
+its docstring states the law. Most checks are predicates over one mapping,
+homomorphism or pair of groups of their domain. The rest are generators over
+the resolved bound, because they keep a memo across instances or their
+instances are not the domain's elements. Predicates and domains call library
+functions through this module's globals at call time, never through names
+bound at import, since planted faults and the benchmark tracer rebind those
+globals. Direct definitional tests used as the second route of a cross-check
+are written out literally here rather than reusing library shortcuts.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import product
+from typing import Iterator
 
 from .abgroup import (
     MAX_HOM_ORDER,
@@ -20,6 +24,7 @@ from .abgroup import (
     TRIVIAL_GROUP,
     FinAbGroup,
     GroupDeviation,
+    GroupHom,
     devg1,
     devg1_oracle,
     devg2,
@@ -66,7 +71,7 @@ from .verifier import (
     VERDICT_COUNTEREXAMPLE,
     VERDICT_REFUTED,
     VERDICT_SKIPPED,
-    Universe,
+    Domain,
     claim,
     enumerate_mappings,
     mappings,
@@ -80,6 +85,23 @@ MAX_COMPOSITION_ORDER = 8
 # Powerset base bound, below max_powerset_base, of T3.1-T3.3, 3.44-* and the
 # Chu claims, which tabulate several subset maps per mapping or pair them.
 MAX_EXTENSION_BASE = 3
+
+
+def _homs(order: int) -> Iterator[GroupHom]:
+    """Every homomorphism between groups of order at most order, by group pair."""
+    for a, b in product(enumerate_groups(order), repeat=2):
+        yield from enumerate_homs(a, b)
+
+
+SETS = Domain("max_set_size", elements=mappings)
+TRIPLES = Domain("max_triple_size")
+POWERSETS = Domain("max_powerset_base", elements=mappings)
+EXTENSIONS = Domain("max_powerset_base", MAX_EXTENSION_BASE, mappings)
+HOMS = Domain("max_group_order", MAX_HOM_ORDER, _homs)
+COMPOSITIONS = Domain("max_group_order", MAX_COMPOSITION_ORDER)
+ORACLE_GROUPS = Domain(
+    "max_group_order", MAX_ORACLE_ORDER, lambda order: product(enumerate_groups(order), repeat=2)
+)
 
 
 # --- direct definitional checks (the independent side of cross-checks) ----
@@ -110,8 +132,8 @@ def _const_direct(f: Mapping) -> bool:
     return True
 
 
-def _pair_witness(nx: int, ny: int, f: Mapping, **extra) -> dict:
-    return {"x_size": nx, "y_size": ny, "f": f.to_json_dict(), **extra}
+def _pair_witness(f: Mapping, **extra) -> dict:
+    return {"x_size": f.dom.size, "y_size": f.cod.size, "f": f.to_json_dict(), **extra}
 
 
 def _subsets(y: FiniteSet, family: int) -> list[list[int]]:
@@ -119,8 +141,8 @@ def _subsets(y: FiniteSet, family: int) -> list[list[int]]:
     return sorted(list(elements(b)) for b in range(1 << y.size) if family >> b & 1)
 
 
-def _composite_witness(sizes: list[int], f: Mapping, g: Mapping) -> dict:
-    return {"sizes": sizes, "f": f.to_json_dict(), "g": g.to_json_dict()}
+def _composite_witness(f: Mapping, g: Mapping) -> dict:
+    return {"sizes": [f.dom.size, f.cod.size, g.cod.size], "f": f.to_json_dict(), "g": g.to_json_dict()}
 
 
 def _lookup(g: Mapping) -> bytes:
@@ -145,40 +167,39 @@ def _image_subsets(img: int) -> list[int]:
 # --- mappings, factorization, deviation order ------------------------------
 
 
-@claim("0.3", "every mapping factors as surjection, bijection, injection, recomposing to itself")
-def check_factorization(u: Universe):
-    for nx, ny, f in mappings(u.max_set_size):
-        fact = canonical_factorization(f)
-        ok = (
-            fact.proj.is_surjective()
-            and fact.mid.is_bijective()
-            and fact.incl.is_injective()
-            and fact.recompose().table == f.table
-        )
-        yield None if ok else _pair_witness(nx, ny, f)
+@claim("0.3", SETS)
+def check_factorization(f: Mapping):
+    """Every mapping factors as surjection, bijection, injection,
+    recomposing to itself."""
+    fact = canonical_factorization(f)
+    ok = (
+        fact.proj.is_surjective()
+        and fact.mid.is_bijective()
+        and fact.incl.is_injective()
+        and fact.recompose().table == f.table
+    )
+    return None if ok else _pair_witness(f)
 
 
-@claim("0.8-0.10", "classification flags read off the deviation agree with the direct definitions")
-def check_classification(u: Universe):
-    for nx, ny, f in mappings(u.max_set_size):
-        c = classify(f)
-        inj, surj = _inj_direct(f), _surj_direct(f)
-        ok = (
-            c.injective == inj
-            and c.surjective == surj
-            and c.bijective == (inj and surj)
-            and c.constant == _const_direct(f)
-        )
-        yield None if ok else _pair_witness(nx, ny, f, flags=list(c.flags()))
+@claim("0.8-0.10", SETS)
+def check_classification(f: Mapping):
+    """Classification flags read off the deviation agree with the direct definitions."""
+    c = classify(f)
+    inj, surj = _inj_direct(f), _surj_direct(f)
+    ok = (
+        c.injective == inj
+        and c.surjective == surj
+        and c.bijective == (inj and surj)
+        and c.constant == _const_direct(f)
+    )
+    return None if ok else _pair_witness(f, flags=list(c.flags()))
 
 
-@claim(
-    "1.3",
-    "kernel partitions sit between discrete and single-block, with equality "
-    "exactly for injective and constant mappings",
-)
-def check_kernel_bounds(u: Universe):
-    for nx, ny in size_pairs(u.max_set_size):
+@claim("1.3", SETS)
+def check_kernel_bounds(bound: int):
+    """Kernel partitions sit between discrete and single-block, with
+    equality exactly for injective and constant mappings."""
+    for nx, ny in size_pairs(bound):
         x = FiniteSet(nx)
         bottom, top = discrete(x), indiscrete(x)
         for f in enumerate_mappings(x, FiniteSet(ny)):
@@ -189,15 +210,13 @@ def check_kernel_bounds(u: Universe):
                 and (part == bottom) == _inj_direct(f)
                 and (part == top) == _const_direct(f)
             )
-            yield None if ok else _pair_witness(nx, ny, f, kernel=part.to_lists())
+            yield None if ok else _pair_witness(f, kernel=part.to_lists())
 
 
-@claim(
-    "partition-order",
-    "refinement is reflexive, antisymmetric on canonical forms, and transitive",
-)
-def check_partition_order(u: Universe):
-    for n in range(u.max_set_size + 1):
+@claim("partition-order", SETS)
+def check_partition_order(bound: int):
+    """Refinement is reflexive, antisymmetric on canonical forms, and transitive."""
+    for n in range(bound + 1):
         parts = list(all_partitions(FiniteSet(n)))
         # One instance per partition; the pairs and triples yield only to refute.
         for p in parts:
@@ -213,13 +232,11 @@ def check_partition_order(u: Universe):
                     yield {"size": n, "p": p.to_lists(), "q": q.to_lists(), "r": r.to_lists()}
 
 
-@claim(
-    "L1.1",
-    "a mapping is bijective iff its deviation is (discrete, empty) and lies "
-    "below the deviation of every mapping with the same signature",
-)
-def check_least_deviation(u: Universe):
-    for nx, ny in size_pairs(u.max_set_size):
+@claim("L1.1", SETS)
+def check_least_deviation(bound: int):
+    """A mapping is bijective iff its deviation is (discrete, empty) and
+    lies below the deviation of every mapping with the same signature."""
+    for nx, ny in size_pairs(bound):
         x, y = FiniteSet(nx), FiniteSet(ny)
         full = (1 << ny) - 1
         least = Deviation(discrete(x), y, 0)
@@ -234,15 +251,14 @@ def check_least_deviation(u: Universe):
             at_least.append(part == least.part and img == full)
         least_is_below_all = all(deviation_leq(least, d) for d in devs)
         for f, bij, is_at in zip(enumerate_mappings(x, y), bijective, at_least):
-            yield None if bij == (is_at and least_is_below_all) else _pair_witness(nx, ny, f)
+            yield None if bij == (is_at and least_is_below_all) else _pair_witness(f)
 
 
-@claim(
-    "T1.1",
-    "the kernel partition of f refines the kernel partition of any composite g after f",
-)
-def check_dev1_monotone(u: Universe):
-    for nx, ny, nz in size_triples(u.max_triple_size):
+@claim("T1.1", TRIPLES)
+def check_dev1_monotone(bound: int):
+    """The kernel partition of f refines the kernel partition of any
+    composite g after f."""
+    for nx, ny, nz in size_triples(bound):
         y = FiniteSet(ny)
         fs = list(enumerate_mappings(FiniteSet(nx), y))
         f_tables = [bytes(f.table) for f in fs]
@@ -271,15 +287,14 @@ def check_dev1_monotone(u: Universe):
                         parts = list(ids)
                         ok = below[i, j] = partition_leq(parts[i], parts[j])
                     known[table] = ok
-                yield None if ok else _composite_witness([nx, ny, nz], f, g)
+                yield None if ok else _composite_witness(f, g)
 
 
-@claim(
-    "1.12",
-    "the missed set of the outer mapping is contained in the missed set of the composite",
-)
-def check_dev2_outer(u: Universe):
-    for nx, ny, nz in size_triples(u.max_triple_size):
+@claim("1.12", TRIPLES)
+def check_dev2_outer(bound: int):
+    """The missed set of the outer mapping is contained in the missed
+    set of the composite."""
+    for nx, ny, nz in size_triples(bound):
         y = FiniteSet(ny)
         fs = list(enumerate_mappings(FiniteSet(nx), y))
         f_tables = [bytes(f.table) for f in fs]
@@ -292,19 +307,15 @@ def check_dev2_outer(u: Universe):
                 img = images.get(table)
                 if img is None:
                     img = images[table] = image(_composite(f, g, table))
-                yield None if img & ~img_g == 0 else _composite_witness([nx, ny, nz], f, g)
+                yield None if img & ~img_g == 0 else _composite_witness(f, g)
 
 
-@claim(
-    "T1.2-counterexample",
-    "missed sets of inner and outer mappings admit strict inclusions in both "
-    "directions, so no fixed comparison holds",
-    kind="existential",
-    expected=VERDICT_COUNTEREXAMPLE,
-)
-def check_dev2_incomparable(u: Universe):
+@claim("T1.2-counterexample", TRIPLES, VERDICT_COUNTEREXAMPLE)
+def check_dev2_incomparable(bound: int):
+    """Missed sets of inner and outer mappings admit strict inclusions
+    in both directions, so no fixed comparison holds."""
     first = second = None
-    for n in range(u.max_triple_size + 1):
+    for n in range(bound + 1):
         maps = list(enumerate_mappings(FiniteSet(n), FiniteSet(n)))
         devs = [image(f) ^ ((1 << n) - 1) for f in maps]
         for (f, df), (g, dg) in product(zip(maps, devs), repeat=2):
@@ -318,15 +329,11 @@ def check_dev2_incomparable(u: Universe):
                 yield None
 
 
-@claim(
-    "rho-not-functor",
-    "the induced-bijection assignment has no fixed object part: its domain "
-    "and codomain vary with the mapping",
-    kind="existential",
-    expected=VERDICT_COUNTEREXAMPLE,
-)
-def check_rho_not_functor(u: Universe):
-    for nx, ny in size_pairs(u.max_set_size):
+@claim("rho-not-functor", SETS, VERDICT_COUNTEREXAMPLE)
+def check_rho_not_functor(bound: int):
+    """The induced-bijection assignment has no fixed object part: its
+    domain and codomain vary with the mapping."""
+    for nx, ny in size_pairs(bound):
         maps = list(enumerate_mappings(FiniteSet(nx), FiniteSet(ny)))
         for i, f in enumerate(maps):
             part_f, img_f = kernel_partition(f), image(f)
@@ -350,35 +357,27 @@ def check_rho_not_functor(u: Universe):
 # --- group deviations -------------------------------------------------------
 
 
-@claim(
-    "devg-oracle",
-    "lattice/normal-form quotients equal element-table coset quotients for "
-    "both deviation components of every homomorphism",
-)
-def check_devg_oracle(u: Universe):
-    groups = enumerate_groups(min(u.max_group_order, MAX_HOM_ORDER))
-    for a, b in product(groups, repeat=2):
-        for f in enumerate_homs(a, b):
-            if devg1(f) == devg1_oracle(f) and devg2(f) == devg2_oracle(f):
-                yield None
-                continue
-            yield {
-                "hom": f.to_json_dict(),
-                "devg1": list(devg1(f).factors),
-                "devg1_oracle": list(devg1_oracle(f).factors),
-                "devg2": list(devg2(f).factors),
-                "devg2_oracle": list(devg2_oracle(f).factors),
-            }
+@claim("devg-oracle", HOMS)
+def check_devg_oracle(f: GroupHom):
+    """Lattice/normal-form quotients equal element-table coset
+    quotients for both deviation components of every homomorphism."""
+    if devg1(f) == devg1_oracle(f) and devg2(f) == devg2_oracle(f):
+        return None
+    return {
+        "hom": f.to_json_dict(),
+        "devg1": list(devg1(f).factors),
+        "devg1_oracle": list(devg1_oracle(f).factors),
+        "devg2": list(devg2(f).factors),
+        "devg2_oracle": list(devg2_oracle(f).factors),
+    }
 
 
-@claim(
-    "L2.1",
-    "a homomorphism is an isomorphism iff its group deviation is (domain, trivial) "
-    "and lies below every other; surjective iff the second component is trivial; "
-    "injective iff the first is the whole domain",
-)
-def check_group_lemma(u: Universe):
-    groups = enumerate_groups(min(u.max_group_order, MAX_HOM_ORDER))
+@claim("L2.1", HOMS)
+def check_group_lemma(bound: int):
+    """A homomorphism is an isomorphism iff its group deviation is (domain,
+    trivial) and lies below every other; surjective iff the second
+    component is trivial; injective iff the first is the whole domain."""
+    groups = enumerate_groups(bound)
     for a in groups:
         for b in groups:
             tb = element_table(b)
@@ -403,17 +402,15 @@ def check_group_lemma(u: Universe):
                     yield None
 
 
-@claim(
-    "T2.1",
-    "under composition the first deviation component of the composite embeds "
-    "in that of the inner map, and the second component of the outer map "
-    "embeds in that of the composite",
-)
-def check_group_composition(u: Universe):
+@claim("T2.1", COMPOSITIONS)
+def check_group_composition(bound: int):
+    """Under composition the first deviation component of the
+    composite embeds in that of the inner map, and the second
+    component of the outer map embeds in that of the composite."""
     # A composite f.then(g) is fixed by its generator images, which are g's
     # table read at f's columns; each distinct composite is built once per
     # (dom, cod) and its deviation components are kept by those images.
-    groups = enumerate_groups(min(u.max_group_order, MAX_COMPOSITION_ORDER))
+    groups = enumerate_groups(bound)
     interned = list(groups)
     index = {x: i for i, x in enumerate(interned)}
     embeds = [[embeds_in(x, y) for y in interned] for x in interned]
@@ -475,16 +472,12 @@ def check_group_composition(u: Universe):
                         yield {"f": f.to_json_dict(), "g": g.to_json_dict(), "case": case}
 
 
-@claim(
-    "T2.1-counterexample",
-    "second components of inner and outer homomorphisms admit strict "
-    "embeddings in both directions, so no fixed comparison holds",
-    kind="existential",
-    expected=VERDICT_COUNTEREXAMPLE,
-)
-def check_devg2_incomparable(u: Universe):
+@claim("T2.1-counterexample", COMPOSITIONS, VERDICT_COUNTEREXAMPLE)
+def check_devg2_incomparable(bound: int):
+    """Second components of inner and outer homomorphisms admit strict
+    embeddings in both directions, so no fixed comparison holds."""
     first = second = None
-    for x in enumerate_groups(min(u.max_group_order, MAX_COMPOSITION_ORDER)):
+    for x in enumerate_groups(bound):
         homs = list(enumerate_homs(x, x))
         for f in homs:
             d2f = devg2(f)
@@ -500,122 +493,106 @@ def check_devg2_incomparable(u: Universe):
                     yield None
 
 
-@claim(
-    "embeds-oracle",
-    "the conjugate-partition embedding criterion agrees with an exhaustive "
-    "injective-homomorphism search",
-)
-def check_embeds_oracle(u: Universe):
-    groups = enumerate_groups(min(u.max_group_order, MAX_ORACLE_ORDER))
-    for a, b in product(groups, repeat=2):
-        fast, oracle = embeds_in(a, b), embeds_in_oracle(a, b)
-        if fast == oracle:
-            yield None
-        else:
-            yield {"a": list(a.factors), "b": list(b.factors), "fast": fast, "oracle": oracle}
+@claim("embeds-oracle", ORACLE_GROUPS)
+def check_embeds_oracle(pair: tuple[FinAbGroup, FinAbGroup]):
+    """The conjugate-partition embedding criterion agrees with an
+    exhaustive injective-homomorphism search."""
+    a, b = pair
+    fast, oracle = embeds_in(a, b), embeds_in_oracle(a, b)
+    if fast == oracle:
+        return None
+    return {"a": list(a.factors), "b": list(b.factors), "fast": fast, "oracle": oracle}
 
 
 # --- powerset maps ----------------------------------------------------------
 
 
-@claim("3.18", "the subset extension sends exactly the empty set to the empty set")
-def check_tilde_empty(u: Universe):
-    for nx, ny, f in mappings(u.max_powerset_base):
+@claim("3.18", POWERSETS)
+def check_tilde_empty(bound: int):
+    """The subset extension sends exactly the empty set to the empty set."""
+    for f in mappings(bound):
         for a, fa in enumerate(direct_image_map(f).table):
             ok = (fa == 0) == (a == 0)
-            yield None if ok else _pair_witness(nx, ny, f, subset=list(elements(a)))
+            yield None if ok else _pair_witness(f, subset=list(elements(a)))
 
 
-@claim("L3.1", "a mapping and its subset extension are injective, surjective, bijective together")
-def check_tilde_lemma(u: Universe):
-    for nx, ny, f in mappings(u.max_powerset_base):
-        tilde = direct_image_map(f)
-        inj, surj = _inj_direct(f), _surj_direct(f)
-        ok = (
-            inj == tilde.is_injective()
-            and surj == tilde.is_surjective()
-            and (inj and surj) == tilde.is_bijective()
-        )
-        yield None if ok else _pair_witness(nx, ny, f)
+@claim("L3.1", POWERSETS)
+def check_tilde_lemma(f: Mapping):
+    """A mapping and its subset extension are injective, surjective,
+    bijective together."""
+    tilde = direct_image_map(f)
+    inj, surj = _inj_direct(f), _surj_direct(f)
+    ok = (
+        inj == tilde.is_injective()
+        and surj == tilde.is_surjective()
+        and (inj and surj) == tilde.is_bijective()
+    )
+    return None if ok else _pair_witness(f)
 
 
-@claim(
-    "L3.2",
-    "the preimage map is surjective iff the mapping is injective, injective "
-    "iff it is surjective, and its restriction to subsets of the image is "
-    "always injective",
-)
-def check_preimage_lemma(u: Universe):
-    for nx, ny, f in mappings(u.max_powerset_base):
-        pre = preimage_map(f)
-        restricted = restrict_preimage_to_image(f)
-        inj, surj = _inj_direct(f), _surj_direct(f)
-        ok = (
-            pre.is_surjective() == inj
-            and restricted.is_injective()
-            and pre.is_injective() == surj
-            and pre.is_bijective() == (inj and surj)
-        )
-        yield None if ok else _pair_witness(nx, ny, f)
+@claim("L3.2", POWERSETS)
+def check_preimage_lemma(f: Mapping):
+    """The preimage map is surjective iff the mapping is injective, injective iff it
+    is surjective, and its restriction to subsets of the image is always injective."""
+    pre = preimage_map(f)
+    restricted = restrict_preimage_to_image(f)
+    inj, surj = _inj_direct(f), _surj_direct(f)
+    ok = (
+        pre.is_surjective() == inj
+        and restricted.is_injective()
+        and pre.is_injective() == surj
+        and pre.is_bijective() == (inj and surj)
+    )
+    return None if ok else _pair_witness(f)
 
 
-@claim(
-    "3.29-3.30",
-    "every subset sits inside the preimage of its image, with equality for "
-    "all subsets exactly when the mapping is injective; taking images "
-    "retracts preimages on subsets of the image",
-)
-def check_galois_identities(u: Universe):
-    image_subsets: dict[int, list[int]] = {}
-    for nx, ny, f in mappings(u.max_powerset_base):
-        tilde = direct_image_map(f).table
-        pre = preimage_map(f).table
-        img = image(f)
-        if img not in image_subsets:
-            image_subsets[img] = _image_subsets(img)
-        subsets = image_subsets[img]
-        # back[a] is the preimage of the image of a.
-        back = [pre[t] for t in tilde]
-        expand_ok = [a | b for a, b in enumerate(back)] == back
-        equal_all = back == list(range(1 << nx))
-        collapse_ok = [tilde[pre[v]] for v in subsets] == subsets
-        ok = expand_ok and collapse_ok and (equal_all == _inj_direct(f))
-        yield None if ok else _pair_witness(nx, ny, f)
+@claim("3.29-3.30", POWERSETS)
+def check_galois_identities(f: Mapping):
+    """Every subset sits inside the preimage of its image, with
+    equality for all subsets exactly when the mapping is injective;
+    taking images retracts preimages on subsets of the image."""
+    tilde = direct_image_map(f).table
+    pre = preimage_map(f).table
+    subsets = _image_subsets(image(f))
+    # back[a] is the preimage of the image of a.
+    back = [pre[t] for t in tilde]
+    expand_ok = [a | b for a, b in enumerate(back)] == back
+    equal_all = back == list(range(1 << f.dom.size))
+    collapse_ok = [tilde[pre[v]] for v in subsets] == subsets
+    ok = expand_ok and collapse_ok and (equal_all == _inj_direct(f))
+    return None if ok else _pair_witness(f)
 
 
-@claim(
-    "L3.3a",
-    "subsets of the image enumerate the kernel classes of the preimage map "
-    "bijectively, and that kernel is discrete exactly for surjective mappings, "
-    "where the enumeration is the singleton identification",
-)
-def check_kappa_lemma(u: Universe):
+@claim("L3.3a", POWERSETS)
+def check_kappa_lemma(bound: int):
+    """Subsets of the image enumerate the kernel classes of the preimage
+    map bijectively, and that kernel is discrete exactly for surjective
+    mappings, where the enumeration is the singleton identification."""
     # Discrete partitions of each P(Y) and their singleton identifications.
-    bottoms = [discrete(FiniteSet(1 << n)) for n in range(u.max_powerset_base + 1)]
+    bottoms = [discrete(FiniteSet(1 << n)) for n in range(bound + 1)]
     singletons = [iota(p.base) for p in bottoms]
-    for nx, ny, f in mappings(u.max_powerset_base):
+    for f in mappings(bound):
         pre = preimage_map(f)
         ka = kappa(pre)
         bijection = ka.is_bijective()
+        ny = f.cod.size
         discrete_on_py = kernel_partition(pre) == bottoms[ny]
         surj = _surj_direct(f)
         ok = bijection and discrete_on_py == surj and (not surj or ka == singletons[ny])
-        yield None if ok else _pair_witness(nx, ny, f)
+        yield None if ok else _pair_witness(f)
 
 
-@claim(
-    "L3.3b",
-    "the deviation of the preimage map characterizes injectivity, "
-    "surjectivity, and bijectivity of the original mapping",
-)
-def check_preimage_deviation_lemma(u: Universe):
-    bottoms = [discrete(FiniteSet(1 << n)) for n in range(u.max_powerset_base + 1)]
-    for nx, ny, f in mappings(u.max_powerset_base):
+@claim("L3.3b", POWERSETS)
+def check_preimage_deviation_lemma(bound: int):
+    """The deviation of the preimage map characterizes injectivity,
+    surjectivity, and bijectivity of the original mapping."""
+    bottoms = [discrete(FiniteSet(1 << n)) for n in range(bound + 1)]
+    for f in mappings(bound):
         pre = preimage_map(f)
         dev = deviation(pre)
         ka = kappa(pre)
         injective_form = dev.missed == 0 and ka.is_bijective()
-        surjective_form = dev.part == bottoms[ny]
+        surjective_form = dev.part == bottoms[f.cod.size]
         bijective_form = surjective_form and dev.missed == 0
         inj, surj = _inj_direct(f), _surj_direct(f)
         ok = (
@@ -623,7 +600,7 @@ def check_preimage_deviation_lemma(u: Universe):
             and surjective_form == surj
             and bijective_form == (inj and surj)
         )
-        yield None if ok else _pair_witness(nx, ny, f)
+        yield None if ok else _pair_witness(f)
 
 
 def _tilde_missed_expected(f: Mapping) -> int:
@@ -639,132 +616,110 @@ def _missed_mask(g: Mapping) -> int:
     return ~hit & ((1 << g.cod.size) - 1)
 
 
-@claim(
-    "T3.1",
-    "six characterizations of injectivity coincide: the mapping, its subset "
-    "extension, preimage surjectivity, and the three deviation shapes "
-    "(with the extension's missed set in computed form)",
-)
-def check_theorem_injective(u: Universe):
-    for nx, ny, f in mappings(min(u.max_powerset_base, MAX_EXTENSION_BASE)):
-        tilde = direct_image_map(f)
-        pre = preimage_map(f)
-        items = (
-            _inj_direct(f),
-            tilde.is_injective(),
-            pre.is_surjective(),
-            kernel_partition(f) == discrete(f.dom),
-            kernel_partition(tilde) == discrete(tilde.dom)
-            and _missed_mask(tilde) == _tilde_missed_expected(f),
-            deviation(pre).missed == 0,
-        )
-        yield None if len(set(items)) == 1 else _pair_witness(nx, ny, f, items=list(items))
+@claim("T3.1", EXTENSIONS)
+def check_theorem_injective(f: Mapping):
+    """Six characterizations of injectivity coincide: the mapping, its
+    subset extension, preimage surjectivity, and the three deviation
+    shapes (with the extension's missed set in computed form)."""
+    tilde = direct_image_map(f)
+    pre = preimage_map(f)
+    items = (
+        _inj_direct(f),
+        tilde.is_injective(),
+        pre.is_surjective(),
+        kernel_partition(f) == discrete(f.dom),
+        kernel_partition(tilde) == discrete(tilde.dom)
+        and _missed_mask(tilde) == _tilde_missed_expected(f),
+        deviation(pre).missed == 0,
+    )
+    return None if len(set(items)) == 1 else _pair_witness(f, items=list(items))
 
 
-@claim("T3.2", "six characterizations of surjectivity coincide")
-def check_theorem_surjective(u: Universe):
-    for nx, ny, f in mappings(min(u.max_powerset_base, MAX_EXTENSION_BASE)):
-        tilde = direct_image_map(f)
-        pre = preimage_map(f)
-        items = (
-            _surj_direct(f),
-            tilde.is_surjective(),
-            pre.is_injective(),
-            image(f) == (1 << ny) - 1,
-            _missed_mask(tilde) == 0,
-            kernel_partition(pre) == discrete(pre.dom),
-        )
-        yield None if len(set(items)) == 1 else _pair_witness(nx, ny, f, items=list(items))
+@claim("T3.2", EXTENSIONS)
+def check_theorem_surjective(f: Mapping):
+    """Six characterizations of surjectivity coincide."""
+    tilde = direct_image_map(f)
+    pre = preimage_map(f)
+    items = (
+        _surj_direct(f),
+        tilde.is_surjective(),
+        pre.is_injective(),
+        image(f) == (1 << f.cod.size) - 1,
+        _missed_mask(tilde) == 0,
+        kernel_partition(pre) == discrete(pre.dom),
+    )
+    return None if len(set(items)) == 1 else _pair_witness(f, items=list(items))
 
 
-@claim("T3.3", "six characterizations of bijectivity coincide")
-def check_theorem_bijective(u: Universe):
-    for nx, ny, f in mappings(min(u.max_powerset_base, MAX_EXTENSION_BASE)):
-        tilde = direct_image_map(f)
-        pre = preimage_map(f)
-        items = (
-            _inj_direct(f) and _surj_direct(f),
-            tilde.is_bijective(),
-            pre.is_bijective(),
-            kernel_partition(f) == discrete(f.dom) and image(f) == (1 << ny) - 1,
-            kernel_partition(tilde) == discrete(tilde.dom) and _missed_mask(tilde) == 0,
-            kernel_partition(pre) == discrete(pre.dom) and _missed_mask(pre) == 0,
-        )
-        yield None if len(set(items)) == 1 else _pair_witness(nx, ny, f, items=list(items))
+@claim("T3.3", EXTENSIONS)
+def check_theorem_bijective(f: Mapping):
+    """Six characterizations of bijectivity coincide."""
+    tilde = direct_image_map(f)
+    pre = preimage_map(f)
+    items = (
+        _inj_direct(f) and _surj_direct(f),
+        tilde.is_bijective(),
+        pre.is_bijective(),
+        kernel_partition(f) == discrete(f.dom) and image(f) == (1 << f.cod.size) - 1,
+        kernel_partition(tilde) == discrete(tilde.dom) and _missed_mask(tilde) == 0,
+        kernel_partition(pre) == discrete(pre.dom) and _missed_mask(pre) == 0,
+    )
+    return None if len(set(items)) == 1 else _pair_witness(f, items=list(items))
 
 
-@claim(
-    "3.44-literal",
-    "missed subsets of the extension of an injective mapping form the "
-    "powerset of the complement of the image (literal reading, empty set "
-    "aside); refuted, since subsets straddling image and complement are missed too",
-    kind="report-only",
-    expected=VERDICT_REFUTED,
-)
-def check_tilde_deviation_literal(u: Universe):
-    """Literal missed-set shape for the subset extension of an injective map.
+@claim("3.44-literal", EXTENSIONS, VERDICT_REFUTED)
+def check_tilde_deviation_literal(f: Mapping):
+    """Missed subsets of the extension of an injective mapping form the
+    powerset of the complement of the image (literal reading, empty set
+    aside); refuted, since subsets straddling image and complement are
+    missed too.
 
-    The claimed missed set is the family of nonempty subsets drawn from the
-    complement of the image (the empty set can never be missed). Computed and
-    claimed families disagree as soon as the complement and the image are
-    both nonempty, since any subset straddling the two is missed but not
-    claimed.
+    The empty set is never missed, so the claimed family is the nonempty
+    subsets of the complement; it falls short as soon as both the image and
+    its complement are nonempty.
     """
-    for nx, ny, f in mappings(min(u.max_powerset_base, MAX_EXTENSION_BASE)):
-        tilde = direct_image_map(f)
-        comp = image(f) ^ ((1 << ny) - 1)
-        claimed = sum(1 << b for b in range(1, 1 << ny) if b & ~comp == 0)
-        missed = _missed_mask(tilde)
-        literal_holds = kernel_partition(tilde) == discrete(tilde.dom) and missed == claimed
-        if literal_holds == _inj_direct(f):
-            yield None
-            continue
-        yield _pair_witness(
-            nx,
-            ny,
-            f,
-            missed_computed=_subsets(f.cod, missed),
-            missed_claimed=_subsets(f.cod, claimed),
-        )
+    tilde = direct_image_map(f)
+    ny = f.cod.size
+    comp = image(f) ^ ((1 << ny) - 1)
+    claimed = sum(1 << b for b in range(1, 1 << ny) if b & ~comp == 0)
+    missed = _missed_mask(tilde)
+    literal_holds = kernel_partition(tilde) == discrete(tilde.dom) and missed == claimed
+    if literal_holds == _inj_direct(f):
+        return None
+    return _pair_witness(
+        f,
+        missed_computed=_subsets(f.cod, missed),
+        missed_claimed=_subsets(f.cod, claimed),
+    )
 
 
-@claim(
-    "3.44-computed",
-    "for injective mappings the extension misses exactly the subsets not "
-    "contained in the image",
-)
-def check_tilde_deviation_computed(u: Universe):
-    for nx, ny, f in mappings(min(u.max_powerset_base, MAX_EXTENSION_BASE)):
+@claim("3.44-computed", EXTENSIONS)
+def check_tilde_deviation_computed(bound: int):
+    """For injective mappings the extension misses exactly the subsets
+    not contained in the image."""
+    for f in mappings(bound):
         if _inj_direct(f):
             ok = _missed_mask(direct_image_map(f)) == _tilde_missed_expected(f)
-            yield None if ok else _pair_witness(nx, ny, f)
+            yield None if ok else _pair_witness(f)
 
 
-@claim(
-    "3.58-3.61",
-    "preimage after extension is the identity for injective mappings, "
-    "extension after restricted preimage is the inclusion of image subsets, "
-    "extension after preimage is the identity for surjective mappings, and "
-    "the restricted preimage is injective",
-)
-def check_composition_identities(u: Universe):
-    image_subsets: dict[int, list[int]] = {}
-    for nx, ny, f in mappings(u.max_powerset_base):
-        tilde = direct_image_map(f).table
-        pre = preimage_map(f).table
-        restricted = restrict_preimage_to_image(f)
-        img = image(f)
-        if img not in image_subsets:
-            image_subsets[img] = _image_subsets(img)
-        ok = (
-            restricted.is_injective()
-            and (not _inj_direct(f) or [pre[t] for t in tilde] == list(range(1 << nx)))
-            # The restricted preimage is indexed by subsets of the image as
-            # _image_subsets lists them, so extension after it is the inclusion.
-            and [tilde[v] for v in restricted.table] == image_subsets[img]
-            and (not _surj_direct(f) or [tilde[v] for v in pre] == list(range(1 << ny)))
-        )
-        yield None if ok else _pair_witness(nx, ny, f)
+@claim("3.58-3.61", POWERSETS)
+def check_composition_identities(f: Mapping):
+    """Preimage after extension is the identity for injective mappings, extension after
+    restricted preimage is the inclusion of image subsets, extension after preimage is
+    the identity for surjective mappings, and the restricted preimage is injective."""
+    tilde = direct_image_map(f).table
+    pre = preimage_map(f).table
+    restricted = restrict_preimage_to_image(f)
+    ok = (
+        restricted.is_injective()
+        and (not _inj_direct(f) or [pre[t] for t in tilde] == list(range(1 << f.dom.size)))
+        # The restricted preimage is indexed by subsets of the image as
+        # _image_subsets lists them, so extension after it is the inclusion.
+        and [tilde[v] for v in restricted.table] == _image_subsets(image(f))
+        and (not _surj_direct(f) or [tilde[v] for v in pre] == list(range(1 << f.cod.size)))
+    )
+    return None if ok else _pair_witness(f)
 
 
 # --- chu spaces --------------------------------------------------------------
@@ -799,13 +754,10 @@ def _valid_morphisms(src: ChuSpace, dst: ChuSpace) -> list[ChuMorphism]:
     return found
 
 
-@claim(
-    "chu-category-laws",
-    "identities are valid and neutral, composites of valid morphisms are "
-    "valid, and composition is associative",
-)
-def check_chu_category_laws(u: Universe):
-    bound = min(u.max_powerset_base, MAX_EXTENSION_BASE)
+@claim("chu-category-laws", EXTENSIONS)
+def check_chu_category_laws(bound: int):
+    """Identities are valid and neutral, composites of valid morphisms
+    are valid, and composition is associative."""
     pool = _random_chu_pool()
     for sp in [e_space(FiniteSet(n)) for n in range(bound + 1)] + pool:
         valid_identity = morphism_is_valid(identity_morphism(sp), sp, sp)
@@ -855,52 +807,49 @@ def check_chu_category_laws(u: Universe):
             yield None if ok else {"case": "associativity", "spaces": [i, j, k, l]}
 
 
-@claim("E-functoriality", "embedding a composite equals composing the embeddings")
-def check_embedding_functorial(u: Universe):
-    for nx, ny, nz in size_triples(min(u.max_powerset_base, MAX_EXTENSION_BASE)):
+@claim("E-functoriality", EXTENSIONS)
+def check_embedding_functorial(bound: int):
+    """Embedding a composite equals composing the embeddings."""
+    for nx, ny, nz in size_triples(bound):
         y = FiniteSet(ny)
         gs = [(g, embed(g)) for g in enumerate_mappings(y, FiniteSet(nz))]
         for f in enumerate_mappings(FiniteSet(nx), y):
             ef = embed(f)
             for g, eg in gs:
                 ok = embed(f.then(g)) == compose(ef, eg)
-                yield None if ok else _composite_witness([nx, ny, nz], f, g)
+                yield None if ok else _composite_witness(f, g)
 
 
-@claim("E-faithfulness", "distinct mappings embed to distinct morphisms")
-def check_embedding_faithful(u: Universe):
+@claim("E-faithfulness", EXTENSIONS)
+def check_embedding_faithful(bound: int):
+    """Distinct mappings embed to distinct morphisms."""
     # Equal morphisms have equal carriers, so one table serves every signature.
     seen: dict[ChuMorphism, Mapping] = {}
-    for nx, ny, f in mappings(min(u.max_powerset_base, MAX_EXTENSION_BASE)):
+    for f in mappings(bound):
         m = embed(f)
         if m in seen:
-            yield {"x_size": nx, "y_size": ny, "f": seen[m].to_json_dict(), "g": f.to_json_dict()}
+            yield {**_pair_witness(seen[m]), "g": f.to_json_dict()}
         else:
             seen[m] = f
             yield None
 
 
-@claim(
-    "E-fullness",
-    "between evaluation spaces every valid morphism has the forced backward "
-    "component and hence is an embedded mapping",
-)
-def check_embedding_full(u: Universe):
+@claim("E-fullness", EXTENSIONS)
+def check_embedding_full(f: Mapping):
+    """Between evaluation spaces every valid morphism has the forced
+    backward component and hence is an embedded mapping."""
     # forced_backward solves adjointness for each target state; a unique
     # solution everywhere means f has exactly one valid backward map.
-    for nx, ny, f in mappings(min(u.max_powerset_base, MAX_EXTENSION_BASE)):
-        backward = forced_backward(f)
-        ok = backward is not None and ChuMorphism(f, backward) == embed(f)
-        yield None if ok else _pair_witness(nx, ny, f)
+    backward = forced_backward(f)
+    ok = backward is not None and ChuMorphism(f, backward) == embed(f)
+    return None if ok else _pair_witness(f)
 
 
-@claim(
-    "3.11-3.14",
-    "the evaluation matrix misses nothing and its kernel has exactly the "
-    "member and non-member blocks, each of half the pairs",
-)
-def check_evaluation_deviation(u: Universe):
-    for n in range(2, u.max_powerset_base + 1):
+@claim("3.11-3.14", POWERSETS)
+def check_evaluation_deviation(bound: int):
+    """The evaluation matrix misses nothing and its kernel has exactly
+    the member and non-member blocks, each of half the pairs."""
+    for n in range(2, bound + 1):
         dev = ex_deviation(FiniteSet(n))
         states = 1 << n
         in_mask = sum(1 << (xv * states + a) for xv in range(n) for a in range(states) if a >> xv & 1)
@@ -916,23 +865,17 @@ def check_evaluation_deviation(u: Universe):
         yield None if ok else {"size": n}
 
 
-@claim(
-    "3.5-composition-order",
-    "the printed composition order for forward parts only typechecks when "
-    "the end carriers coincide; composition must chain diagrammatically",
-    kind="report-only",
-    expected=VERDICT_REFUTED,
-)
-def check_composition_reading(u: Universe):
-    """The forward parts of a composite must chain source to target.
+@claim("3.5-composition-order", TRIPLES, VERDICT_REFUTED)
+def check_composition_reading(bound: int):
+    """The printed composition order for forward parts only typechecks when
+    the end carriers coincide; composition must chain diagrammatically.
 
-    Reading the composition rule with the outer forward applied second only
-    typechecks when the outer domain equals the inner codomain; the first
-    composable pair with distinct end carriers is a witness that the reading
-    as printed cannot be meant applicatively.
+    With the outer forward applied second, the outer domain must equal the
+    inner codomain, so the first composable pair with distinct end carriers
+    witnesses that the printed reading cannot be meant applicatively.
     """
     reason = "outer forward expects the first carrier, inner forward lands in the third"
-    for nx, ny, nz in size_triples(u.max_triple_size):
+    for nx, ny, nz in size_triples(bound):
         yield None if nx == nz else {"sizes": [nx, ny, nz], "reason": reason}
     # Only reached when every end carrier coincides (max_triple_size 0):
     # nothing could refute the reading, and nothing was shown to verify it.

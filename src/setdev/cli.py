@@ -71,8 +71,11 @@ def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _add_universe_flags(parser: argparse.ArgumentParser) -> None:

@@ -1,18 +1,21 @@
 """Claim engine: bounded universes, one sweep driver, deterministic reports.
 
 Every structural law of the deviation calculus is registered with ``@claim``
-under a stable id, with a body and the verdict it is expected to produce.
-A body is a generator over a bounded universe. It yields one item per
-instance it checks: None when the instance passes, or a witness dict.
+under a stable id, with the domain it sweeps and the verdict it is expected
+to produce, on a check whose docstring states the law. A domain names the
+``Universe`` field bounding the sweep, an optional cap below it and, for
+predicates, the enumeration of its elements. ``check_claim`` resolves the
+bound once and runs the sweep: a predicate over each element (None when it
+passes, else a witness), or a generator over the bound that yields one such
+item per instance and may return a verdict to replace the default for a
+sweep without a witness.
 
-``check_claim`` is the one driver. It counts the items (the one carrying
-the witness included), stops at the first witness, and derives the verdict
-from the claim's kind: a universal or report-only claim is refuted-as-stated
-with a witness and verified without one; an existential claim is
-counterexample-found-as-required with a witness and skipped without one.
-Enumeration order is fixed (sizes by total, then lexicographic), so for a
-fixed universe two runs produce identical reports and reported witnesses
-are minimal for their claim.
+``check_claim`` counts the items (the one carrying the witness included)
+and stops at the first witness. A claim expecting a counterexample reports
+counterexample-found-as-required with a witness and skipped without one;
+any other reports refuted-as-stated or verified. Enumeration order is fixed
+(sizes by total, then lexicographic), so for a fixed universe two runs
+produce identical reports and reported witnesses are minimal for their claim.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import json
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Generator, Iterator
+from inspect import isgeneratorfunction
+from typing import Callable, Iterable, Iterator
 
 from .finset import FiniteSet, Mapping
 from .powerset import MAX_BASE
@@ -53,26 +57,34 @@ class Universe:
             raise ValueError(f"max_powerset_base is capped at {MAX_BASE}")
 
 
-# kind -> (verdict when the body yields a witness, verdict when it yields none)
-VERDICTS_BY_KIND = {
-    "universal": (VERDICT_REFUTED, VERDICT_VERIFIED),
-    "existential": (VERDICT_COUNTEREXAMPLE, VERDICT_SKIPPED),
-    "report-only": (VERDICT_REFUTED, VERDICT_VERIFIED),
-}
+@dataclass(frozen=True)
+class Domain:
+    """What a claim sweeps: the Universe field bounding it, lowered to cap
+    when one is given, and the elements a predicate is run on, if any."""
 
-# One item per instance checked: None when it passes, else the witness.
-ClaimBody = Callable[[Universe], Generator[object, None, "str | None"]]
+    bounded_by: str
+    cap: int | None = None
+    elements: Callable[[int], Iterable] | None = None
+
+    def bound(self, universe: Universe) -> int:
+        n = getattr(universe, self.bounded_by)
+        return n if self.cap is None else min(n, self.cap)
 
 
 @dataclass(frozen=True)
 class Claim:
-    """One law bound to the body that sweeps it and its expected verdict."""
+    """One law: the check stating it, the domain it sweeps and its expected verdict."""
 
     id: str
-    law: str
-    kind: str  # "universal" | "existential" | "report-only"
+    domain: Domain
     expected: str
-    body: ClaimBody = field(compare=False, repr=False)
+    # A predicate over one element, or a generator over the resolved bound.
+    check: Callable = field(compare=False, repr=False)
+
+    def sweep(self, n: int) -> Iterator[object]:
+        """One item per instance checked: None when it passes, else the witness."""
+        check = self.check
+        return check(n) if isgeneratorfunction(check) else (check(x) for x in self.domain.elements(n))
 
 
 @dataclass(frozen=True)
@@ -91,18 +103,16 @@ class Report:
 REGISTRY: dict[str, Claim] = {}
 
 
-def claim(
-    claim_id: str, law: str, kind: str = "universal", expected: str = VERDICT_VERIFIED
-) -> Callable[[ClaimBody], ClaimBody]:
-    """Register the decorated generator as the body of claim ``claim_id``."""
-    if kind not in VERDICTS_BY_KIND:
-        raise ValueError(f"unknown claim kind {kind}")
+def claim(claim_id: str, domain: Domain, expected: str = VERDICT_VERIFIED) -> Callable:
+    """Register the decorated predicate or generator as the check of claim ``claim_id``."""
+    if expected not in VERDICTS:
+        raise ValueError(f"unknown expected verdict {expected}")
 
-    def register(body: ClaimBody) -> ClaimBody:
+    def register(check: Callable) -> Callable:
         if claim_id in REGISTRY:
             raise AssertionError(f"duplicate claim id {claim_id}")
-        REGISTRY[claim_id] = Claim(claim_id, law, kind, expected, body)
-        return body
+        REGISTRY[claim_id] = Claim(claim_id, domain, expected, check)
+        return check
 
     return register
 
@@ -131,12 +141,11 @@ def size_triples(max_size: int) -> Iterator[tuple[int, int, int]]:
                     yield nx, ny, nz
 
 
-def mappings(bound: int) -> Iterator[tuple[int, int, Mapping]]:
-    """(nx, ny, f) for every mapping between carriers of size at most bound,
-    signatures in size_pairs order, tables lexicographic within each."""
+def mappings(bound: int) -> Iterator[Mapping]:
+    """Every mapping between carriers of size at most bound, signatures in
+    size_pairs order, tables lexicographic within each."""
     for nx, ny in size_pairs(bound):
-        for f in enumerate_mappings(FiniteSet(nx), FiniteSet(ny)):
-            yield nx, ny, f
+        yield from enumerate_mappings(FiniteSet(nx), FiniteSet(ny))
 
 
 def registry() -> dict[str, Claim]:
@@ -152,9 +161,12 @@ def check_claim(claim: Claim | str, universe: Universe) -> Report:
         if claim not in reg:
             raise KeyError(f"unknown claim id: {claim}")
         claim = reg[claim]
-    found, exhausted = VERDICTS_BY_KIND[claim.kind]
+    if claim.expected == VERDICT_COUNTEREXAMPLE:
+        found, exhausted = VERDICT_COUNTEREXAMPLE, VERDICT_SKIPPED
+    else:
+        found, exhausted = VERDICT_REFUTED, VERDICT_VERIFIED
     start = time.perf_counter()
-    sweep = claim.body(universe)
+    sweep = claim.sweep(claim.domain.bound(universe))
     instances = 0
     try:
         while (witness := next(sweep)) is None:
@@ -163,7 +175,7 @@ def check_claim(claim: Claim | str, universe: Universe) -> Report:
         verdict = found
         sweep.close()
     except StopIteration as end:
-        # A body may return a verdict to replace the kind's default for a
+        # A generator may return a verdict to replace the default of a
         # sweep that found no witness.
         witness = None
         verdict = end.value or exhausted

@@ -290,6 +290,21 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["flags"] == ["injective", "surjective", "bijective"]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [("verify", "--claims", "T1.1", "--max-triple-size", "1"), ("dev", '{"dom":1,"cod":1,"table":[0]}')],
+    ids=["verify", "dev"],
+)
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, command, where):
+    # Exit 1 means a verdict differed, so a failed write must not end with it.
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "--output", str(target), *command)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=str(Path(setdev.__file__).resolve().parents[1]))
 

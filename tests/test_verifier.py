@@ -2,9 +2,11 @@ import ast
 import gc
 import hashlib
 import importlib
+import inspect
 import json
 import sys
 from itertools import product
+from math import gcd, prod
 from pathlib import Path
 from types import FunctionType
 
@@ -22,9 +24,11 @@ from setdev.verifier import (
     VERDICT_VERIFIED,
     check_all,
     check_claim,
+    claim,
     enumerate_mappings,
     machine_records,
     registry,
+    size_triples,
     text_report,
 )
 
@@ -32,12 +36,10 @@ REGISTRY = registry()
 
 SMALL = Universe(max_set_size=2, max_triple_size=2, max_group_order=4, max_powerset_base=2)
 ZERO = Universe(max_set_size=0, max_triple_size=0, max_group_order=0, max_powerset_base=0)
-
-EXPECTED_BY_KIND = {
-    "universal": VERDICT_VERIFIED,
-    "existential": VERDICT_COUNTEREXAMPLE,
-    "report-only": VERDICT_REFUTED,
-}
+# The universe of the benchmark's maps-sweep workload.
+_MAPS_SWEEP = Universe(max_set_size=5, max_triple_size=4, max_powerset_base=5)
+_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+_MAPS_SWEEP_CLAIMS = json.loads(_WORKLOADS.read_text(encoding="utf-8"))["workloads"]["maps-sweep"]["claims"]
 
 
 def test_enumerate_mappings_counts():
@@ -58,10 +60,22 @@ def test_universe_validation():
 
 def test_registry_ids_unique_and_expected_verdicts_populated():
     assert len(REGISTRY) == len({c.id for c in REGISTRY.values()})
-    for claim in REGISTRY.values():
-        assert claim.kind in EXPECTED_BY_KIND
-        assert claim.expected == EXPECTED_BY_KIND[claim.kind], claim.id
-        assert claim.law
+    for c in REGISTRY.values():
+        assert c.expected in (VERDICT_VERIFIED, VERDICT_COUNTEREXAMPLE, VERDICT_REFUTED), c.id
+        assert c.check.__doc__, c.id  # the law
+    # A claim is existential exactly when it expects a counterexample: it
+    # reports skipped, not verified, when its sweep finds no witness.
+    existential = {c.id for c in REGISTRY.values() if c.expected == VERDICT_COUNTEREXAMPLE}
+    assert existential == {"T1.2-counterexample", "rho-not-functor", "T2.1-counterexample"}
+    for report in check_all(ZERO):
+        if report.claim_id in existential:
+            assert report.verdict == VERDICT_SKIPPED
+
+
+def test_claim_refuses_an_unknown_expected_verdict():
+    with pytest.raises(ValueError, match="unknown expected verdict"):
+        claim("x", claims.SETS, expected="existential")
+    assert "x" not in REGISTRY
 
 
 def test_unknown_claim_raises():
@@ -132,19 +146,110 @@ def test_monotone_universes():
 
 
 @pytest.mark.parametrize(
-    "universe, digest",
+    "universe, claim_ids, digest",
     [
-        (SMALL, "fcd235ea0728b91e596e1658624265f78dea9833bde0782b86065bb1e870444b"),
+        (SMALL, None, "fcd235ea0728b91e596e1658624265f78dea9833bde0782b86065bb1e870444b"),
         # Everything skips or verifies here; 3.5-composition-order sweeps its one
         # size triple without a witness and reports skipped.
-        (ZERO, "8d370162fd9e4e2bcd0d460780023a4a20b0955f6e9d741599a2ec37b9f56b27"),
+        (ZERO, None, "8d370162fd9e4e2bcd0d460780023a4a20b0955f6e9d741599a2ec37b9f56b27"),
+        # The default universe and the benchmark's maps-sweep claims, whose
+        # digests perfbench/README.md lists.
+        (Universe(), None, "f1bbc3d2f2aa66cb0a33e7a2e3e71827834794a07e6a2362063095bbb10eb9ed"),
+        (_MAPS_SWEEP, _MAPS_SWEEP_CLAIMS, "1429b6ebbb5070cd27636513c72b541ec20b22ab31d4239c3ab1ae69304fd41c"),
     ],
-    ids=["small", "zero"],
+    ids=["small", "zero", "default", "maps-sweep"],
 )
-def test_machine_records_golden(universe, digest):
+def test_machine_records_golden(universe, claim_ids, digest):
     # Pins every verdict, witness and instance count, byte for byte.
-    text = machine_records(check_all(universe))
+    ids = claim_ids or list(REGISTRY)
+    text = machine_records([check_claim(c, universe) for c in ids])
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def _partitions(k):
+    """The number of partitions of the integer k."""
+    ways = [1] + [0] * k
+    for part in range(1, k + 1):
+        for total in range(part, k + 1):
+            ways[total] += ways[total - part]
+    return ways[k]
+
+
+def _group_count(max_order):
+    """Abelian groups of order at most max_order: the product of p(e) over
+    the prime exponents e of each order."""
+    count = 0
+    for order in range(1, max_order + 1):
+        n, prime, groups = order, 2, 1
+        while n > 1:
+            exponent = 0
+            while n % prime == 0:
+                n //= prime
+                exponent += 1
+            groups *= _partitions(exponent)
+            prime += 1
+        count += groups
+    return count
+
+
+def _mapping_count(n):
+    return sum(ny**nx for nx in range(n + 1) for ny in range(n + 1))
+
+
+def _composable_count(n):
+    return sum(ny**nx * nz**ny for nx, ny, nz in product(range(n + 1), repeat=3))
+
+
+def _hom_count(max_order):
+    """|Hom(A, B)| is the product of gcd(a, b) over the invariant factors."""
+    groups = enumerate_groups(max_order)
+    return sum(prod(gcd(a, b) for a in x.factors for b in y.factors) for x, y in product(groups, repeat=2))
+
+
+def test_enumerators_match_closed_forms():
+    assert [_mapping_count(n) for n in (3, 4, 5)] == [60, 499, 5705]
+    assert [_composable_count(n) for n in (3, 4)] == [1678, 133799]
+    assert [_group_count(n) for n in (4, 8, 12, 15, 16)] == [5, 11, 17, 20, 25]
+    assert [_hom_count(n) for n in (4, 8, 12, 15, 16)] == [60, 1128, 1921, 2179, 91949]
+    for n in (3, 4, 5):
+        for domain in (claims.SETS, claims.POWERSETS, claims.EXTENSIONS):
+            assert sum(1 for _ in domain.elements(n)) == _mapping_count(n)
+    for n in (3, 4):
+        sizes = list(size_triples(n))
+        assert len(sizes) == (n + 1) ** 3
+        count = 0
+        for nx, ny, nz in sizes:
+            x, y, z = FiniteSet(nx), FiniteSet(ny), FiniteSet(nz)
+            count += sum(1 for _ in enumerate_mappings(x, y)) * sum(1 for _ in enumerate_mappings(y, z))
+        assert count == _composable_count(n)
+    for n in (4, 8, 12, 15, 16):
+        assert len(enumerate_groups(n)) == _group_count(n)
+        assert sum(1 for _ in claims.HOMS.elements(n)) == _hom_count(n)
+        assert sum(1 for _ in claims.ORACLE_GROUPS.elements(n)) == _group_count(n) ** 2
+
+
+# Closed-form size of each domain a predicate claim is declared on, by bound.
+_DOMAIN_SIZES = {
+    claims.SETS: _mapping_count,
+    claims.POWERSETS: _mapping_count,
+    claims.EXTENSIONS: _mapping_count,
+    claims.HOMS: _hom_count,
+    claims.ORACLE_GROUPS: lambda n: _group_count(n) ** 2,
+}
+
+
+@pytest.mark.parametrize("universe", [SMALL, Universe()], ids=["small", "default"])
+def test_predicate_claims_check_their_whole_domain(universe):
+    # One instance per element of the declared domain, at the bound
+    # check_claim resolves from the universe and the domain's cap.
+    predicates = [c for c in REGISTRY.values() if not inspect.isgeneratorfunction(c.check)]
+    assert {"0.3", "L3.1", "T3.1", "3.44-literal", "E-fullness", "devg-oracle", "embeds-oracle"} <= {
+        c.id for c in predicates
+    }
+    for c in predicates:
+        report = check_claim(c, universe)
+        if report.verdict == VERDICT_VERIFIED:
+            assert report.instances == _DOMAIN_SIZES[c.domain](c.domain.bound(universe)), c.id
 
 
 def test_evaluation_deviation_reaches_the_powerset_cap():
@@ -296,9 +401,6 @@ def test_composite_claims_check_the_lookup_against_then(monkeypatch, claim_id):
     with pytest.raises(AssertionError, match="composite disagrees with its table lookup"):
         check_claim(claim_id, Universe(max_triple_size=3))
 
-
-# The universe of the benchmark's maps-sweep workload.
-_MAPS_SWEEP = Universe(max_set_size=5, max_triple_size=4, max_powerset_base=5)
 
 
 @pytest.mark.parametrize("claim_id", ["T1.1", "1.12", "0.3", "E-functoriality"])
