@@ -7,6 +7,8 @@ di >= 2; the trivial group is the empty chain, and isomorphism testing is
 equality of chains. A homomorphism from factors (a_1..a_m) to (b_1..b_k) is
 an integer matrix M with k rows and m columns, entries reduced mod b_i
 row-wise, subject to the well-definedness condition b_i | a_j * M[i][j].
+``GroupHom`` checks both on construction, except in ``enumerate_homs``,
+which checks each entry's range of choices once per pair of groups.
 
 The deviation of a homomorphism f : X -> Y is the pair of abstract groups
 (X / ker f, Y / f(X)). Two independent routes compute it:
@@ -22,7 +24,8 @@ The coded form, ``element_table(group)``, numbers the elements in mixed
 radix, in the order of ``product(range(d) for d in factors)``. It carries a
 byte addition table and n-multiple tables, each built on first use, and
 memoises quotients by subgroup bitmask. A homomorphism's table over codes
-is built from the codes of its matrix columns by additions alone.
+is built from the codes of its matrix columns by additions alone, and the
+codomain keeps the last one, so the two oracles tabulate each hom once.
 
 Deviations are ordered by embeddability. The first components compare
 contravariantly: a finer kernel leaves a larger quotient, so "f deviates no
@@ -173,17 +176,11 @@ class GroupHom:
         """Diagrammatic composite: first self, then other."""
         if self.cod != other.dom:
             raise ValueError("composite needs matching middle group")
-        m = len(self.dom.factors)
-        mid = len(self.cod.factors)
-        rows = []
-        for i, b in enumerate(other.cod.factors):
-            rows.append(
-                tuple(
-                    sum(other.matrix[i][l] * self.matrix[l][j] for l in range(mid)) % b
-                    for j in range(m)
-                )
-            )
-        return GroupHom(self.dom, other.cod, tuple(rows))
+        # A trivial middle group leaves self with no rows to transpose.
+        columns = list(zip(*self.matrix)) or [()] * len(self.dom.factors)
+        rows = zip(other.matrix, other.cod.factors)
+        matrix = tuple([tuple([sum(map(mul, row, col)) % b for col in columns]) for row, b in rows])
+        return GroupHom(self.dom, other.cod, matrix)
 
 
 @dataclass(frozen=True)
@@ -313,6 +310,7 @@ class CodedGroup:
         self.strides = tuple(prod(group.factors[i + 1 :]) for i in range(len(group.factors)))
         self._multiples: dict[int, bytes] = {}
         self._quotients: dict[int, FinAbGroup] = {}
+        self._last: tuple[GroupHom | None, bytes] = (None, b"")
 
     @cached_property
     def elements(self) -> tuple[tuple[int, ...], ...]:
@@ -372,8 +370,10 @@ class CodedGroup:
         return bytes(sum(map(mul, column, self.strides)) for column in zip(*f.matrix))
 
     def table(self, f: GroupHom) -> bytes:
-        """f's values over codes: table(f)[x] is the code of f(x)."""
-        return self.values(f.dom, self.columns(f))
+        """f's values over codes, table(f)[x] the code of f(x); the last hom tabulated is kept."""
+        if self._last[0] is not f:
+            self._last = (f, self.values(f.dom, self.columns(f)))
+        return self._last[1]
 
     def hom(self, dom: FinAbGroup, columns: bytes) -> GroupHom:
         """The homomorphism sending generator j of dom to the element with code columns[j]."""
@@ -534,18 +534,17 @@ def enumerate_homs(dom: FinAbGroup, cod: FinAbGroup) -> Iterator[GroupHom]:
     if dom.order() > MAX_HOM_ORDER or cod.order() > MAX_HOM_ORDER:
         raise ValueError(f"hom enumeration is bounded at order {MAX_HOM_ORDER}")
     m = len(dom.factors)
-    k = len(cod.factors)
-    choices = []
-    for i in range(k):
-        b = cod.factors[i]
-        for j in range(m):
-            a = dom.factors[j]
-            step = b // gcd(a, b)
-            choices.append(range(0, b, step))
-    rows = [slice(i * m, (i + 1) * m) for i in range(k)]
-    # From a list, not a generator: tuples grown by resizing pile up in the free lists.
+    # Every choice is reduced and well-defined, so the matrices skip __post_init__.
+    choices = [[v for v in range(b) if a * v % b == 0] for b in cod.factors for a in dom.factors]
+    rows = [slice(i * m, (i + 1) * m) for i in range(len(cod.factors))]
+    new, put = object.__new__, object.__setattr__
     for flat in product(*choices):
-        yield GroupHom(dom, cod, tuple([flat[row] for row in rows]))
+        f = new(GroupHom)
+        put(f, "dom", dom)
+        put(f, "cod", cod)
+        # From a list, not a generator: tuples grown by resizing pile up in the free lists.
+        put(f, "matrix", tuple([flat[row] for row in rows]))
+        yield f
 
 
 def _partitions_of(n: int) -> Iterator[tuple[int, ...]]:

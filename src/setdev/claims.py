@@ -427,36 +427,36 @@ def check_group_composition(bound: int):
         return index[x]
 
     coded = [element_table(x) for x in groups]
-    # tables[b][c] and devg2s[b][c]: for each g : b -> c in order, its table
-    # over b's codes padded to a 256-byte translation, and devg2(g).
-    tables = [[[] for _ in groups] for _ in groups]
-    devg2s = [[[] for _ in groups] for _ in groups]
+    # For each hom b -> c in order: tables[b][c] holds its table over b's codes,
+    # padded to a 256-byte translation, and devg1s/devg2s its deviation. It is
+    # rebuilt from its table, at b's generator codes, for a composite or witness.
+    tables, devg1s, devg2s = ([[[] for _ in groups] for _ in groups] for _ in range(3))
     for b, x in enumerate(groups):
         pad = bytes(256 - x.order())
         for c, code_c in enumerate(coded):
-            for g in enumerate_homs(x, groups[c]):
-                tables[b][c].append(code_c.table(g) + pad)
-                devg2s[b][c].append(intern(devg2(g)))
-    for a in groups:
+            for f in enumerate_homs(x, groups[c]):
+                tables[b][c].append(code_c.table(f) + pad)
+                devg1s[b][c].append(intern(devg1(f)))
+                devg2s[b][c].append(intern(devg2(f)))
+
+    def outer(b: int, c: int, table: bytes) -> GroupHom:
+        return coded[c].hom(groups[b], bytes(coded[b].strides).translate(table))
+
+    for a, code_a in enumerate(coded):
         # composites[c][images]: devg1 and devg2 of the composite a -> c with
         # those generator images.
         composites = [{} for _ in groups]
+        gens = bytes(code_a.strides)
         for b, code_b in enumerate(coded):
-            # Each f : a -> b is kept as its columns and devg1(f) alone, and
-            # rebuilt from its columns when a composite or witness needs it.
-            f_columns, f_devg1 = [], []
-            for f in enumerate_homs(a, groups[b]):
-                f_columns.append(code_b.columns(f))
-                f_devg1.append(intern(devg1(f)))
+            f_columns = [gens.translate(table) for table in tables[a][b]]
             for c, code_c in enumerate(coded):
                 known = composites[c]
-                gs = enumerate_homs(groups[b], groups[c])
-                for g, g_table, d2g in zip(gs, tables[b][c], devg2s[b][c]):
-                    for columns, d1f in zip(f_columns, f_devg1):
+                for g_table, d2g in zip(tables[b][c], devg2s[b][c]):
+                    for columns, d1f in zip(f_columns, devg1s[a][b]):
                         images = columns.translate(g_table)
                         pair = known.get(images)
                         if pair is None:
-                            h = code_b.hom(a, columns).then(g)
+                            h = code_b.hom(groups[a], columns).then(outer(b, c, g_table))
                             if code_c.columns(h) != images:
                                 raise AssertionError("composite disagrees with its generator images")
                             pair = known[images] = (intern(devg1(h)), intern(devg2(h)))
@@ -468,7 +468,7 @@ def check_group_composition(bound: int):
                         else:
                             yield None
                             continue
-                        f = code_b.hom(a, columns)
+                        f, g = code_b.hom(groups[a], columns), outer(b, c, g_table)
                         yield {"f": f.to_json_dict(), "g": g.to_json_dict(), "case": case}
 
 

@@ -101,6 +101,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         selected = [reg[c] for c in ids]
     else:
         selected = list(reg.values())
+    _emit("", args.output)  # an unwritable path is refused before the sweep
     reports = [check_claim(c, universe) for c in selected]
     if args.format == "machine":
         _emit(machine_records(reports, include_millis=args.timings), args.output)

@@ -80,7 +80,7 @@ class Partition:
 
 def discrete(base: FiniteSet) -> Partition:
     """The all-singletons partition (bottom of the refinement order)."""
-    return Partition(base, tuple(1 << x for x in range(base.size)))
+    return Partition(base, tuple([1 << x for x in range(base.size)]))
 
 
 def indiscrete(base: FiniteSet) -> Partition:

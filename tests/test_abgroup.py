@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from setdev.abgroup import (
+    MAX_HOM_ORDER,
     MAX_TRIAL_DIVISOR,
     FinAbGroup,
     GroupHom,
@@ -218,13 +219,29 @@ def test_snf_properties(rows, p, e):
 
 
 def test_hom_well_definedness():
-    GroupHom(FinAbGroup((2,)), FinAbGroup((4,)), ((2,),))
-    with pytest.raises(ValueError):
-        GroupHom(FinAbGroup((2,)), FinAbGroup((4,)), ((1,),))
-    with pytest.raises(ValueError):
-        GroupHom(FinAbGroup((2,)), FinAbGroup((3,)), ((1,),))
-    with pytest.raises(ValueError):
-        GroupHom(FinAbGroup((2,)), FinAbGroup((4,)), ((4,),))  # not reduced
+    z2, z4 = FinAbGroup((2,)), FinAbGroup((4,))
+    GroupHom(z2, z4, ((2,),))
+    with pytest.raises(ValueError, match="not well-defined"):
+        GroupHom(z2, z4, ((1,),))
+    with pytest.raises(ValueError, match="not well-defined"):
+        GroupHom(z2, FinAbGroup((3,)), ((1,),))
+    with pytest.raises(ValueError, match="not reduced"):
+        GroupHom(z2, z4, ((4,),))
+    # Only enumerate_homs skips the checks; the other constructors keep them.
+    with pytest.raises(ValueError, match="not well-defined"):
+        GroupHom.from_json_dict({"dom": [2], "cod": [4], "matrix": [[1]]})
+    with pytest.raises(ValueError, match="not well-defined"):
+        element_table(z4).hom(z2, bytes([1]))
+
+
+def test_enumerated_homs_pass_the_checked_constructor():
+    # enumerate_homs checks each entry's choices once per pair of groups and
+    # stores its matrices without __post_init__, so every one of them must
+    # still pass the checks.
+    groups = enumerate_groups(MAX_HOM_ORDER)
+    for a, b in product(groups, repeat=2):
+        for f in enumerate_homs(a, b):
+            assert GroupHom(f.dom, f.cod, f.matrix) == f
 
 
 def test_enumerate_homs_counts():

@@ -305,6 +305,17 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, command, where):
     assert err.startswith("error: cannot write") and "Traceback" not in err
 
 
+def test_unwritable_output_is_refused_before_any_claim_runs(tmp_path, capsys, monkeypatch):
+    def no_claims(claim, universe):
+        raise AssertionError("a claim ran before the output path was checked")
+
+    monkeypatch.setattr(setdev.cli, "check_claim", no_claims)
+    code, out, err = run(capsys, "--output", str(tmp_path), "verify")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write")
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=str(Path(setdev.__file__).resolve().parents[1]))
 

@@ -1,3 +1,6 @@
+import gc
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,7 +21,7 @@ from setdev.finset import (
     kernel_partition,
     partition_leq,
 )
-from setdev.verifier import enumerate_mappings
+from setdev.verifier import enumerate_mappings, mappings
 
 
 def m(nx, ny, table):
@@ -63,6 +66,18 @@ def test_partition_blocks_are_masks_in_canonical_order():
     assert discrete(FiniteSet(3)).blocks == (0b001, 0b010, 0b100)
     assert indiscrete(FiniteSet(3)).blocks == (0b111,)
     assert kernel_partition(m(4, 3, [2, 0, 2, 1])).blocks == (0b0101, 0b0010, 0b1000)
+
+
+def test_discrete_partitions_leave_no_blocks_behind():
+    # One discrete partition per mapping of the maps-sweep universe (5,705).
+    # A tuple grown from a generator is resized, and once freed it stays in
+    # CPython's free list for its length; a full collection empties the free
+    # lists, so one runs only before the loop.
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for f in mappings(5):
+        discrete(f.dom)
+    assert sys.getallocatedblocks() - before < 1000
 
 
 def test_empty_carrier_has_exactly_the_empty_partition():

@@ -385,6 +385,17 @@ def test_group_composition_checks_the_images_against_then(monkeypatch):
         check_claim("T2.1", Universe(max_group_order=4))
 
 
+def test_group_composition_enumerates_each_pair_of_groups_once(monkeypatch):
+    # Each hom is enumerated once, for both its inner and its outer role; an
+    # outer map is rebuilt from its table rather than enumerated again for
+    # every inner group.
+    calls = []
+    honest = claims.enumerate_homs
+    monkeypatch.setattr(claims, "enumerate_homs", lambda a, b: calls.append((a, b)) or honest(a, b))
+    assert check_claim("T2.1", Universe(max_group_order=8)).verdict == VERDICT_VERIFIED
+    assert calls == list(product(enumerate_groups(8), repeat=2))
+
+
 _THREE = FiniteSet(3)
 # (0, 0, 1) on three elements, first composed at (3, 2, 3) from f = (0, 0, 1)
 # and g = (0, 1).
@@ -460,6 +471,17 @@ def test_embedding_crosscheck_refutes_when_one_route_lies(monkeypatch, name):
 def _homs_up_to(order):
     groups = enumerate_groups(order)
     return [f for a, b in product(groups, repeat=2) for f in enumerate_homs(a, b)]
+
+
+def test_group_crosscheck_tabulates_each_hom_once(monkeypatch):
+    # Both element-route functions read f's table; the codomain keeps the
+    # last one, so each hom is tabulated once.
+    tabulated = []
+    honest = abgroup.CodedGroup.columns
+    monkeypatch.setattr(abgroup.CodedGroup, "columns", lambda code, f: tabulated.append(f) or honest(code, f))
+    abgroup.element_table.cache_clear()
+    assert check_claim("devg-oracle", Universe(max_group_order=8)).verdict == VERDICT_VERIFIED
+    assert tabulated == _homs_up_to(8)
 
 
 def test_normal_form_route_reads_no_element_tables(monkeypatch):
