@@ -407,10 +407,16 @@ def check_group_composition(bound: int):
     """Under composition the first deviation component of the
     composite embeds in that of the inner map, and the second
     component of the outer map embeds in that of the composite."""
-    # A composite f.then(g) is fixed by its generator images, which are g's
-    # table read at f's columns; each distinct composite is built once per
-    # (dom, cod) and its deviation components are kept by those images.
+    # A pair (f, g) passes or fails by the generator images of f.then(g),
+    # which are g's table read at f's columns, by devg1(f) and by devg2(g).
+    # Each inner map f : a -> b is packed into one word: its column codes,
+    # zero padding, then 128 + the interned index of devg1(f). Translating
+    # the words of every f through g's table, which keeps bytes >= 128,
+    # gives the keys of their pairs with g. The keys that passed are kept
+    # per (a, c, devg2(g)), and each distinct composite is built once per (a, c).
     groups = enumerate_groups(bound)
+    if any(x.order() > 128 for x in groups):
+        raise ValueError("element codes must fit below 128 to be told from tags")
     interned = list(groups)
     index = {x: i for i, x in enumerate(interned)}
     embeds = [[embeds_in(x, y) for y in interned] for x in interned]
@@ -426,50 +432,83 @@ def check_group_composition(bound: int):
             embeds.append([embeds_in(x, y) for y in interned])
         return index[x]
 
+    def tag(x: FinAbGroup) -> bytes:
+        i = intern(x)
+        if i >= 128:
+            raise ValueError("too many distinct first deviations to tag in a byte")
+        return bytes((128 + i,))
+
     coded = [element_table(x) for x in groups]
+    # A word is the smallest power of two bytes holding a group's generators
+    # and the tag.
+    widths = [1 << len(x.factors).bit_length() for x in groups]
     # For each hom b -> c in order: tables[b][c] holds its table over b's codes,
-    # padded to a 256-byte translation, and devg1s/devg2s its deviation. It is
-    # rebuilt from its table, at b's generator codes, for a composite or witness.
-    tables, devg1s, devg2s = ([[[] for _ in groups] for _ in groups] for _ in range(3))
+    # devg2s[b][c] its interned devg2, and words[b][c] its word, all words of
+    # b -> c joined. Appending rests[b] to a table makes it a translation
+    # that keeps bytes >= 128. That is done per use: at order 8, keeping the
+    # 1,128 translations would hold about 270 KiB more.
+    tables, devg2s, words = ([[[] for _ in groups] for _ in groups] for _ in range(3))
+    rests = [bytes(128 - x.order()) + bytes(range(128, 256)) for x in groups]
     for b, x in enumerate(groups):
-        pad = bytes(256 - x.order())
+        gens, zeros = bytes(coded[b].strides), bytes(widths[b] - 1 - len(x.factors))
         for c, code_c in enumerate(coded):
             for f in enumerate_homs(x, groups[c]):
-                tables[b][c].append(code_c.table(f) + pad)
-                devg1s[b][c].append(intern(devg1(f)))
+                table = code_c.table(f)
+                tables[b][c].append(table)
+                words[b][c].append(gens.translate(table + rests[b]) + zeros + tag(devg1(f)))
                 devg2s[b][c].append(intern(devg2(f)))
+            words[b][c] = b"".join(words[b][c])
 
     def outer(b: int, c: int, table: bytes) -> GroupHom:
         return coded[c].hom(groups[b], bytes(coded[b].strides).translate(table))
 
-    for a, code_a in enumerate(coded):
+    for a, x in enumerate(groups):
+        n, width = len(x.factors), widths[a]
+        word = "BHIQ"[width.bit_length() - 1]  # the memoryview format of a word
         # composites[c][images]: devg1 and devg2 of the composite a -> c with
-        # those generator images.
+        # those generator images; passed[c, d2g]: the keys that passed.
         composites = [{} for _ in groups]
-        gens = bytes(code_a.strides)
+        passed: dict[tuple[int, int], set[int]] = {}
         for b, code_b in enumerate(coded):
-            f_columns = [gens.translate(table) for table in tables[a][b]]
             for c, code_c in enumerate(coded):
-                known = composites[c]
-                for g_table, d2g in zip(tables[b][c], devg2s[b][c]):
-                    for columns, d1f in zip(f_columns, devg1s[a][b]):
-                        images = columns.translate(g_table)
+                known, fs = composites[c], words[a][b]
+                for g_values, d2g in zip(tables[b][c], devg2s[b][c]):
+                    g_table = g_values + rests[b]
+                    packed = fs.translate(g_table)
+                    keys = memoryview(packed).cast(word)
+                    seen = passed.setdefault((c, d2g), set())
+                    if seen.issuperset(keys):
+                        yield len(keys)
+                        continue
+                    # Each key with the position of one of its pairs; only
+                    # the keys not seen yet are checked.
+                    at_key = dict(zip(keys, range(0, len(packed), width)))
+                    failed = {}
+                    for key in at_key.keys() - seen:
+                        at = at_key[key]
+                        images, d1f = packed[at : at + n], packed[at + width - 1] - 128
                         pair = known.get(images)
                         if pair is None:
-                            h = code_b.hom(groups[a], columns).then(outer(b, c, g_table))
+                            h = code_b.hom(x, fs[at : at + n]).then(outer(b, c, g_table))
                             if code_c.columns(h) != images:
                                 raise AssertionError("composite disagrees with its generator images")
                             pair = known[images] = (intern(devg1(h)), intern(devg2(h)))
                         d1h, d2h = pair
                         if not embeds[d1h][d1f]:
-                            case = "first"
+                            failed[key] = "first"
                         elif not embeds[d2g][d2h]:
-                            case = "second"
+                            failed[key] = "second"
                         else:
-                            yield None
-                            continue
-                        f, g = code_b.hom(groups[a], columns), outer(b, c, g_table)
-                        yield {"f": f.to_json_dict(), "g": g.to_json_dict(), "case": case}
+                            seen.add(key)
+                    if not failed:
+                        yield len(keys)
+                        continue
+                    # The pairs before the first that fails passed.
+                    i = next(i for i, key in enumerate(keys) if key in failed)
+                    yield i
+                    f, g = code_b.hom(x, fs[i * width : i * width + n]), outer(b, c, g_table)
+                    yield {"f": f.to_json_dict(), "g": g.to_json_dict(), "case": failed[keys[i]]}
+                    return
 
 
 @claim("T2.1-counterexample", COMPOSITIONS, VERDICT_COUNTEREXAMPLE)

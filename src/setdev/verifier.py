@@ -11,11 +11,14 @@ item per instance and may return a verdict to replace the default for a
 sweep without a witness.
 
 ``check_claim`` counts the items (the one carrying the witness included)
-and stops at the first witness. A claim expecting a counterexample reports
-counterexample-found-as-required with a witness and skipped without one;
-any other reports refuted-as-stated or verified. Enumeration order is fixed
-(sizes by total, then lexicographic), so for a fixed universe two runs
-produce identical reports and reported witnesses are minimal for their claim.
+and stops at the first witness. A sweep may also yield a non-negative
+``int``, read as that many passing instances at once; the test is
+``type(item) is int``, so a bool is a witness like any other. A claim
+expecting a counterexample reports counterexample-found-as-required with a
+witness and skipped without one; any other reports refuted-as-stated or
+verified. Enumeration order is fixed (sizes by total, then lexicographic),
+so for a fixed universe two runs produce identical reports and reported
+witnesses are minimal for their claim.
 """
 
 from __future__ import annotations
@@ -82,7 +85,8 @@ class Claim:
     check: Callable = field(compare=False, repr=False)
 
     def sweep(self, n: int) -> Iterator[object]:
-        """One item per instance checked: None when it passes, else the witness."""
+        """None per instance that passes, or an int counting that many,
+        until the witness of the first that fails."""
         check = self.check
         return check(n) if isgeneratorfunction(check) else (check(x) for x in self.domain.elements(n))
 
@@ -169,8 +173,14 @@ def check_claim(claim: Claim | str, universe: Universe) -> Report:
     sweep = claim.sweep(claim.domain.bound(universe))
     instances = 0
     try:
-        while (witness := next(sweep)) is None:
-            instances += 1
+        while True:
+            while (witness := next(sweep)) is None:
+                instances += 1
+            if type(witness) is not int:
+                break
+            if witness < 0:
+                raise AssertionError(f"claim {claim.id} yielded a negative count {witness}")
+            instances += witness
         instances += 1
         verdict = found
         sweep.close()

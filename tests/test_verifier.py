@@ -13,7 +13,7 @@ from types import FunctionType
 import pytest
 
 import setdev
-from setdev import abgroup, claims
+from setdev import abgroup, claims, verifier
 from setdev.abgroup import FinAbGroup, GroupHom, enumerate_groups, enumerate_homs
 from setdev.finset import FiniteSet, Mapping
 from setdev.verifier import (
@@ -39,7 +39,11 @@ ZERO = Universe(max_set_size=0, max_triple_size=0, max_group_order=0, max_powers
 # The universe of the benchmark's maps-sweep workload.
 _MAPS_SWEEP = Universe(max_set_size=5, max_triple_size=4, max_powerset_base=5)
 _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
-_MAPS_SWEEP_CLAIMS = json.loads(_WORKLOADS.read_text(encoding="utf-8"))["workloads"]["maps-sweep"]["claims"]
+_WORKLOAD_CLAIMS = {
+    name: workload["claims"]
+    for name, workload in json.loads(_WORKLOADS.read_text(encoding="utf-8"))["workloads"].items()
+}
+_MAPS_SWEEP_CLAIMS = _WORKLOAD_CLAIMS["maps-sweep"]
 
 
 def test_enumerate_mappings_counts():
@@ -76,6 +80,33 @@ def test_claim_refuses_an_unknown_expected_verdict():
     with pytest.raises(ValueError, match="unknown expected verdict"):
         claim("x", claims.SETS, expected="existential")
     assert "x" not in REGISTRY
+
+
+def _yielding(*items):
+    """An unregistered claim whose sweep yields items."""
+
+    def sweep(bound):
+        yield from items
+
+    return verifier.Claim("counted", claims.SETS, VERDICT_VERIFIED, sweep)
+
+
+def test_count_items_add_that_many_instances():
+    witness = {"case": "third"}
+    report = check_claim(_yielding(3, None, witness), SMALL)
+    assert (report.verdict, report.witness, report.instances) == (VERDICT_REFUTED, witness, 5)
+    report = check_claim(_yielding(2, 0), SMALL)
+    assert (report.verdict, report.witness, report.instances) == (VERDICT_VERIFIED, None, 2)
+
+
+def test_negative_count_is_refused():
+    with pytest.raises(AssertionError, match="negative count"):
+        check_claim(_yielding(1, -1), SMALL)
+
+
+def test_bool_item_is_a_witness_not_a_count():
+    report = check_claim(_yielding(None, True), SMALL)
+    assert (report.verdict, report.witness, report.instances) == (VERDICT_REFUTED, True, 2)
 
 
 def test_unknown_claim_raises():
@@ -156,8 +187,13 @@ def test_monotone_universes():
         # digests perfbench/README.md lists.
         (Universe(), None, "f1bbc3d2f2aa66cb0a33e7a2e3e71827834794a07e6a2362063095bbb10eb9ed"),
         (_MAPS_SWEEP, _MAPS_SWEEP_CLAIMS, "1429b6ebbb5070cd27636513c72b541ec20b22ab31d4239c3ab1ae69304fd41c"),
+        (
+            Universe(max_group_order=15),
+            _WORKLOAD_CLAIMS["group-crosscheck"],
+            "e773e1a728b7c2875ec5c5281312a27d5023abf909735956637192219080ad6e",
+        ),
     ],
-    ids=["small", "zero", "default", "maps-sweep"],
+    ids=["small", "zero", "default", "maps-sweep", "group-crosscheck"],
 )
 def test_machine_records_golden(universe, claim_ids, digest):
     # Pins every verdict, witness and instance count, byte for byte.
@@ -346,27 +382,44 @@ def _composition_reference(universe):
     return None, instances
 
 
+_CUBE, _Z2, _Z4 = FinAbGroup((2, 2, 2)), FinAbGroup((2,)), FinAbGroup((4,))
+# The lie is told about one composite, which is also an inner and an outer
+# map in its own right. Composites sharing some of its columns come before
+# it, so a lookup keyed by fewer than all columns misses it.
+_SQUARE = GroupHom(FinAbGroup((2, 2)), FinAbGroup((2, 2)), ((1, 1), (1, 1)))
+# Out of Z/2 + Z/2 + Z/2, whose homs are packed into 4-byte keys: the sum of
+# the coordinates, composed first from a map into Z/2 + Z/2, and twice it,
+# into Z/4, composed first from a map into Z/2.
+_SUM, _TWICE_SUM = GroupHom(_CUBE, _Z2, ((1, 1, 1),)), GroupHom(_CUBE, _Z4, ((2, 2, 2),))
+# Out of Z/2, whose homs are packed into 2-byte keys.
+_TWICE = GroupHom(_Z2, _Z4, ((2,),))
+
+
 @pytest.mark.parametrize(
-    "name, lie",
-    # Z/4 and the trivial group are swept groups; Z/16 is above every group
-    # the sweep indexes.
+    "order, target, name, lie",
+    # Z/4 and the trivial group are swept groups; Z/16 and Z/9 are above
+    # every group the sweep indexes.
     [
-        ("devg1", FinAbGroup((4,))),
-        ("devg1", FinAbGroup((16,))),
-        ("devg2", FinAbGroup(())),
-        ("devg2", FinAbGroup((16,))),
+        (4, _SQUARE, "devg1", _Z4),
+        (4, _SQUARE, "devg1", FinAbGroup((16,))),
+        (4, _SQUARE, "devg2", FinAbGroup(())),
+        (4, _SQUARE, "devg2", FinAbGroup((16,))),
+        (8, _SUM, "devg1", FinAbGroup((16,))),
+        (8, _TWICE_SUM, "devg2", FinAbGroup(())),
+        (8, _TWICE, "devg1", _Z4),
+        (8, _TWICE, "devg1", FinAbGroup((9,))),
+        (8, _TWICE, "devg2", FinAbGroup(())),
     ],
-    ids=["devg1-Z4", "devg1-Z16", "devg2-0", "devg2-Z16"],
+    ids=[
+        "devg1-Z4", "devg1-Z16", "devg2-0", "devg2-Z16",
+        "cube-devg1-Z16", "cube-devg2-0",
+        "cyclic-devg1-Z4", "cyclic-devg1-Z9", "cyclic-devg2-0",
+    ],
 )
-def test_group_composition_refutes_a_wrong_deviation(monkeypatch, name, lie):
-    # The lie is told about one composite, which is also an inner and an
-    # outer map in its own right. Composites sharing either of its columns
-    # come before it, so a lookup keyed by fewer than all columns misses it.
-    two = FinAbGroup((2, 2))
-    target = GroupHom(two, two, ((1, 1), (1, 1)))
+def test_group_composition_refutes_a_wrong_deviation(monkeypatch, order, target, name, lie):
     honest = getattr(claims, name)
     monkeypatch.setattr(claims, name, lambda f: lie if f == target else honest(f))
-    universe = Universe(max_group_order=4)
+    universe = Universe(max_group_order=order)
     witness, instances = _composition_reference(universe)
     report = check_claim("T2.1", universe)
     assert witness is not None
@@ -394,6 +447,28 @@ def test_group_composition_enumerates_each_pair_of_groups_once(monkeypatch):
     monkeypatch.setattr(claims, "enumerate_homs", lambda a, b: calls.append((a, b)) or honest(a, b))
     assert check_claim("T2.1", Universe(max_group_order=8)).verdict == VERDICT_VERIFIED
     assert calls == list(product(enumerate_groups(8), repeat=2))
+
+
+def test_group_composition_builds_each_distinct_composite_once(monkeypatch):
+    # One GroupHom.then per composite a -> c with distinct generator images,
+    # however many pairs share it.
+    calls = []
+    honest = GroupHom.then
+    monkeypatch.setattr(GroupHom, "then", lambda f, g: calls.append(1) or honest(f, g))
+    report = check_claim("T2.1", Universe())
+    assert (report.verdict, report.instances) == (VERDICT_VERIFIED, 495728)
+    assert len(calls) == 1128
+
+
+def test_group_composition_refuses_what_a_key_byte_cannot_hold(monkeypatch):
+    # Element codes and devg1 tags share each byte of a key, codes below 128
+    # and tags from 128 up, so either one running past its half is an error.
+    with pytest.raises(ValueError, match="codes must fit below 128"):
+        next(claims.check_group_composition(129))
+    fresh = iter(range(1000, 2000))
+    monkeypatch.setattr(claims, "devg1", lambda f: FinAbGroup((next(fresh),)))
+    with pytest.raises(ValueError, match="first deviations"):
+        check_claim("T2.1", Universe(max_group_order=8))
 
 
 _THREE = FiniteSet(3)
