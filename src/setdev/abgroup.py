@@ -7,8 +7,9 @@ di >= 2; the trivial group is the empty chain, and isomorphism testing is
 equality of chains. A homomorphism from factors (a_1..a_m) to (b_1..b_k) is
 an integer matrix M with k rows and m columns, entries reduced mod b_i
 row-wise, subject to the well-definedness condition b_i | a_j * M[i][j].
-``GroupHom`` checks both on construction, except in ``enumerate_homs``,
-which checks each entry's range of choices once per pair of groups.
+``GroupHom`` checks both on construction, except for the homs ``_hom``
+builds: those of ``enumerate_homs``, which checks each entry's range of
+choices once per pair of groups, and rebuilds of enumerated homs.
 
 The deviation of a homomorphism f : X -> Y is the pair of abstract groups
 (X / ker f, Y / f(X)). Two independent routes compute it:
@@ -49,6 +50,9 @@ MAX_ORACLE_ORDER = 64
 # (about 0.15 s), so they refuse an order whose part free of smaller primes
 # exceeds its square.
 MAX_TRIAL_DIVISOR = 10**6
+
+# The unchecked constructor's way round a frozen dataclass's __init__.
+_new, _put = object.__new__, object.__setattr__
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,6 +185,15 @@ class GroupHom:
         rows = zip(other.matrix, other.cod.factors)
         matrix = tuple([tuple([sum(map(mul, row, col)) % b for col in columns]) for row, b in rows])
         return GroupHom(self.dom, other.cod, matrix)
+
+
+def _hom(dom: FinAbGroup, cod: FinAbGroup, matrix: tuple[tuple[int, ...], ...]) -> GroupHom:
+    """A GroupHom whose matrix is reduced and well-defined by construction, without __post_init__."""
+    f = _new(GroupHom)
+    _put(f, "dom", dom)
+    _put(f, "cod", cod)
+    _put(f, "matrix", matrix)
+    return f
 
 
 @dataclass(frozen=True)
@@ -377,8 +390,12 @@ class CodedGroup:
 
     def hom(self, dom: FinAbGroup, columns: bytes) -> GroupHom:
         """The homomorphism sending generator j of dom to the element with code columns[j]."""
-        rows = range(len(self.group.factors))
-        return GroupHom(dom, self.group, tuple(tuple(self.elements[c][i] for c in columns) for i in rows))
+        return GroupHom(dom, self.group, self._matrix(columns))
+
+    def _matrix(self, columns: bytes) -> tuple[tuple[int, ...], ...]:
+        """The matrix whose column j holds the coordinates of code columns[j]."""
+        elements = self.elements
+        return tuple([tuple([elements[c][i] for c in columns]) for i in range(len(self.group.factors))])
 
     def multiple(self, n: int) -> bytes:
         """multiple(n)[x] is the code of n * x."""
@@ -537,14 +554,9 @@ def enumerate_homs(dom: FinAbGroup, cod: FinAbGroup) -> Iterator[GroupHom]:
     # Every choice is reduced and well-defined, so the matrices skip __post_init__.
     choices = [[v for v in range(b) if a * v % b == 0] for b in cod.factors for a in dom.factors]
     rows = [slice(i * m, (i + 1) * m) for i in range(len(cod.factors))]
-    new, put = object.__new__, object.__setattr__
     for flat in product(*choices):
-        f = new(GroupHom)
-        put(f, "dom", dom)
-        put(f, "cod", cod)
         # From a list, not a generator: tuples grown by resizing pile up in the free lists.
-        put(f, "matrix", tuple([flat[row] for row in rows]))
-        yield f
+        yield _hom(dom, cod, tuple([flat[row] for row in rows]))
 
 
 def _partitions_of(n: int) -> Iterator[tuple[int, ...]]:

@@ -25,6 +25,7 @@ from .abgroup import (
     FinAbGroup,
     GroupDeviation,
     GroupHom,
+    _hom,
     devg1,
     devg1_oracle,
     devg2,
@@ -272,9 +273,11 @@ def check_dev1_monotone(bound: int):
         f_verdicts = [verdicts[i] for i in f_ids]
         composite_ids: dict[bytes, int] = {}
         below: dict[tuple[int, int], bool] = {}
+        # One count per outer g; a failing pair yields the count before it,
+        # then its witness.
         for g in enumerate_mappings(y, FiniteSet(nz)):
             lookup = _lookup(g)
-            for f, f_table, i, known in zip(fs, f_tables, f_ids, f_verdicts):
+            for at, (f, f_table, i, known) in enumerate(zip(fs, f_tables, f_ids, f_verdicts)):
                 table = f_table.translate(lookup)
                 ok = known.get(table)
                 if ok is None:
@@ -287,7 +290,11 @@ def check_dev1_monotone(bound: int):
                         parts = list(ids)
                         ok = below[i, j] = partition_leq(parts[i], parts[j])
                     known[table] = ok
-                yield None if ok else _composite_witness(f, g)
+                if not ok:
+                    yield at
+                    yield _composite_witness(f, g)
+                    return
+            yield len(fs)
 
 
 @claim("1.12", TRIPLES)
@@ -299,15 +306,20 @@ def check_dev2_outer(bound: int):
         fs = list(enumerate_mappings(FiniteSet(nx), y))
         f_tables = [bytes(f.table) for f in fs]
         images: dict[bytes, int] = {}
+        # One count per outer g, as in T1.1.
         for g in enumerate_mappings(y, FiniteSet(nz)):
             img_g = image(g)
             lookup = _lookup(g)
-            for f, f_table in zip(fs, f_tables):
+            for at, (f, f_table) in enumerate(zip(fs, f_tables)):
                 table = f_table.translate(lookup)
                 img = images.get(table)
                 if img is None:
                     img = images[table] = image(_composite(f, g, table))
-                yield None if img & ~img_g == 0 else _composite_witness(f, g)
+                if img & ~img_g:
+                    yield at
+                    yield _composite_witness(f, g)
+                    return
+            yield len(fs)
 
 
 @claim("T1.2-counterexample", TRIPLES, VERDICT_COUNTEREXAMPLE)
@@ -459,8 +471,13 @@ def check_group_composition(bound: int):
                 devg2s[b][c].append(intern(devg2(f)))
             words[b][c] = b"".join(words[b][c])
 
-    def outer(b: int, c: int, table: bytes) -> GroupHom:
-        return coded[c].hom(groups[b], bytes(coded[b].strides).translate(table))
+    def columns_of(b: int, table: bytes) -> bytes:
+        """The column codes of the hom out of b with that table."""
+        return bytes(coded[b].strides).translate(table)
+
+    def factor(b: int, c: int, columns: bytes) -> GroupHom:
+        # The columns are read off enumerated homs b -> c, so no check is repeated.
+        return _hom(groups[b], groups[c], coded[c]._matrix(columns))
 
     for a, x in enumerate(groups):
         n, width = len(x.factors), widths[a]
@@ -489,7 +506,7 @@ def check_group_composition(bound: int):
                         images, d1f = packed[at : at + n], packed[at + width - 1] - 128
                         pair = known.get(images)
                         if pair is None:
-                            h = code_b.hom(x, fs[at : at + n]).then(outer(b, c, g_table))
+                            h = factor(a, b, fs[at : at + n]).then(factor(b, c, columns_of(b, g_table)))
                             if code_c.columns(h) != images:
                                 raise AssertionError("composite disagrees with its generator images")
                             pair = known[images] = (intern(devg1(h)), intern(devg2(h)))
@@ -506,7 +523,8 @@ def check_group_composition(bound: int):
                     # The pairs before the first that fails passed.
                     i = next(i for i, key in enumerate(keys) if key in failed)
                     yield i
-                    f, g = code_b.hom(x, fs[i * width : i * width + n]), outer(b, c, g_table)
+                    f = code_b.hom(x, fs[i * width : i * width + n])
+                    g = code_c.hom(groups[b], columns_of(b, g_table))
                     yield {"f": f.to_json_dict(), "g": g.to_json_dict(), "case": failed[keys[i]]}
                     return
 
@@ -550,9 +568,15 @@ def check_embeds_oracle(pair: tuple[FinAbGroup, FinAbGroup]):
 def check_tilde_empty(bound: int):
     """The subset extension sends exactly the empty set to the empty set."""
     for f in mappings(bound):
-        for a, fa in enumerate(direct_image_map(f).table):
-            ok = (fa == 0) == (a == 0)
-            yield None if ok else _pair_witness(f, subset=list(elements(a)))
+        tilde = direct_image_map(f).table
+        # One count per mapping: every subset passes when only the empty set, at 0, goes to 0.
+        if tilde[0] == 0 and tilde.count(0) == 1:
+            yield len(tilde)
+            continue
+        a = tilde.index(0, 1) if tilde[0] == 0 else 0  # the first subset that fails
+        yield a
+        yield _pair_witness(f, subset=list(elements(a)))
+        return
 
 
 @claim("L3.1", POWERSETS)

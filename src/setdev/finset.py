@@ -13,12 +13,20 @@ two is the deviation of f, and every mapping factors as
     surjection onto the kernel partition
     -> bijection onto the image
     -> inclusion into the codomain.
+
+Public constructors and literals keep every check; the library's own
+constructions whose validity follows from valid inputs (enumerated tables,
+composites, factorizations, kernel partitions, subset maps) skip them
+through ``_mapping`` and ``_partition``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
+
+# The unchecked constructors' way round a frozen dataclass's __init__.
+_new, _put = object.__new__, object.__setattr__
 
 
 def _is_int(value: object) -> bool:
@@ -76,6 +84,14 @@ class Partition:
 
     def to_lists(self) -> list[list[int]]:
         return [list(elements(blk)) for blk in self.blocks]
+
+
+def _partition(base: FiniteSet, blocks: tuple[int, ...]) -> Partition:
+    """A Partition whose blocks are valid by construction, without __post_init__."""
+    p = _new(Partition)
+    _put(p, "base", base)
+    _put(p, "blocks", blocks)
+    return p
 
 
 def discrete(base: FiniteSet) -> Partition:
@@ -161,7 +177,7 @@ class Mapping:
         if self.cod != other.dom:
             raise ValueError("composite needs matching middle carrier")
         table = other.table
-        return Mapping(self.dom, other.cod, tuple([table[y] for y in self.table]))
+        return _mapping(self.dom, other.cod, tuple([table[y] for y in self.table]))
 
     def is_injective(self) -> bool:
         return len(set(self.table)) == len(self.table)
@@ -171,6 +187,15 @@ class Mapping:
 
     def is_bijective(self) -> bool:
         return len(self.table) == self.cod.size == len(set(self.table))
+
+
+def _mapping(dom: FiniteSet, cod: FiniteSet, table: tuple[int, ...]) -> Mapping:
+    """A Mapping whose table is in range by construction, without __post_init__."""
+    f = _new(Mapping)
+    _put(f, "dom", dom)
+    _put(f, "cod", cod)
+    _put(f, "table", table)
+    return f
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,8 +261,9 @@ def kernel_partition(f: Mapping) -> Partition:
     for x, y in enumerate(f.table):
         fibres[y] = fibres.get(y, 0) | (1 << x)
     # A fibre enters the dict at its least element, so insertion order is
-    # already the canonical block order and needs no sort.
-    return Partition(f.dom, tuple(fibres.values()))
+    # already the canonical block order and needs no sort; fibres are
+    # nonempty, disjoint and cover the domain.
+    return _partition(f.dom, tuple(fibres.values()))
 
 
 def canonical_factorization(f: Mapping) -> Factorization:
@@ -250,9 +276,9 @@ def canonical_factorization(f: Mapping) -> Factorization:
     quotient = FiniteSet(len(block_of))
     img_set = FiniteSet(len(img))
 
-    proj = Mapping(f.dom, quotient, tuple([block_of[y] for y in f.table]))
-    mid = Mapping(quotient, img_set, tuple([positions[y] for y in block_of]))
-    incl = Mapping(img_set, f.cod, img)
+    proj = _mapping(f.dom, quotient, tuple([block_of[y] for y in f.table]))
+    mid = _mapping(quotient, img_set, tuple([positions[y] for y in block_of]))
+    incl = _mapping(img_set, f.cod, img)
     return Factorization(proj, mid, incl)
 
 

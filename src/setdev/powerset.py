@@ -3,12 +3,14 @@
 A subset's bitmask doubles as its index in the powerset carrier, so index 0
 is the empty set and the carrier of P(X) is the finite set of size 2**|X|.
 Every map on a powerset is tabulated in full, so bases are capped at
-MAX_BASE elements.
+MAX_BASE elements. Each entry of a subset map is a union of masks of the
+mapping's values or fibres, so the maps are built without re-checking
+their tables.
 """
 
 from __future__ import annotations
 
-from .finset import FiniteSet, Mapping, discrete
+from .finset import FiniteSet, Mapping, _mapping, discrete
 
 # A table over P(X) has 2**|X| entries; 4096 keeps every sweep tractable.
 MAX_BASE = 12
@@ -44,12 +46,12 @@ def direct_image_map(f: Mapping) -> Mapping:
     Sends the empty set to the empty set and nothing else to it, since f is
     total.
     """
-    return Mapping(power_set(f.dom), power_set(f.cod), _unions([1 << y for y in f.table]))
+    return _mapping(power_set(f.dom), power_set(f.cod), _unions([1 << y for y in f.table]))
 
 
 def preimage_map(f: Mapping) -> Mapping:
     """Subset-level inverse of f: encoded U goes to encoded preimage of U."""
-    return Mapping(power_set(f.cod), power_set(f.dom), _unions(_fibres(f)))
+    return _mapping(power_set(f.cod), power_set(f.dom), _unions(_fibres(f)))
 
 
 def restrict_preimage_to_image(f: Mapping) -> Mapping:
@@ -61,7 +63,7 @@ def restrict_preimage_to_image(f: Mapping) -> Mapping:
     """
     # The nonempty fibres, in element order, are those of the image.
     fibres = [fibre for fibre in _fibres(f) if fibre]
-    return Mapping(power_set(FiniteSet(len(fibres))), power_set(f.dom), _unions(fibres))
+    return _mapping(power_set(FiniteSet(len(fibres))), power_set(f.dom), _unions(fibres))
 
 
 def iota(base: FiniteSet) -> Mapping:
@@ -110,4 +112,4 @@ def kappa(pre: Mapping) -> Mapping:
     block_of = {v: i for i, v in enumerate(dict.fromkeys(pre.table))}
     # From a list, not a generator: tuples grown by resizing pile up in the free lists.
     table = tuple([block_of[v] for v in _unions(fibres)])
-    return Mapping(power_set(FiniteSet(len(fibres))), FiniteSet(len(block_of)), table)
+    return _mapping(power_set(FiniteSet(len(fibres))), FiniteSet(len(block_of)), table)

@@ -21,7 +21,8 @@ from setdev.finset import (
     kernel_partition,
     partition_leq,
 )
-from setdev.verifier import enumerate_mappings, mappings
+from setdev.powerset import direct_image_map, kappa, preimage_map, restrict_preimage_to_image
+from setdev.verifier import enumerate_mappings, mappings, size_triples
 
 
 def m(nx, ny, table):
@@ -101,6 +102,30 @@ def test_mapping_validation():
         m(3, 2, [0, 1, -1])  # negative entry
     with pytest.raises(ValueError, match=r"^table\[3\] = 3 "):
         m(4, 3, [0, 1, 2, 3])  # out of range only at the last index
+
+
+def test_library_built_values_pass_the_checked_constructors():
+    # These mappings and kernel partitions are built without __post_init__,
+    # their validity following from valid inputs, so every one of them must
+    # still pass the checks.
+    def rebuilt(h):
+        assert type(h.table) is tuple
+        assert Mapping(h.dom, h.cod, h.table) == h
+        part = kernel_partition(h)
+        assert Partition(part.base, part.blocks) == part
+
+    for f in mappings(4):  # enumerate_mappings, up to powerset base 4
+        fact = canonical_factorization(f)
+        pre = preimage_map(f)
+        subset_maps = (direct_image_map(f), pre, restrict_preimage_to_image(f), kappa(pre))
+        for h in (f, fact.proj, fact.mid, fact.incl, *subset_maps):
+            rebuilt(h)
+    for nx, ny, nz in size_triples(3):
+        y = FiniteSet(ny)
+        gs = list(enumerate_mappings(y, FiniteSet(nz)))
+        for f in enumerate_mappings(FiniteSet(nx), y):
+            for g in gs:
+                rebuilt(f.then(g))
 
 
 # --- image / kernel / factorization ------------------------------------------

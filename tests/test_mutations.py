@@ -155,6 +155,16 @@ ROWS = {
         "T3.2", "image", (_IDENTITY_2,), 0b01,
         _POWERSET_2, _pair(_IDENTITY_2, items=[True, True, True, False, True, True]), 9,
     ),
+    # The preimage map of the injective (1) reported as missing the subset {0}.
+    "T3.1-deviation": (
+        "T3.1", "deviation", (_PRE,), Deviation(deviation(_PRE).part, _TWO, 0b10),
+        _POWERSET_2, _pair(_MISSES_0, items=[True, True, True, True, True, False]), 6,
+    ),
+    # The preimage of the identity sends {0, 1} to {1}: no longer a bijection.
+    "T3.3-pre": (
+        "T3.3", "preimage_map", (_IDENTITY_2,), _m(4, 4, (0, 1, 2, 2)),
+        _POWERSET_2, _pair(_IDENTITY_2, items=[True, True, False, True, True, False]), 9,
+    ),
     # The identity on one element reported as missing 0: the literal reading
     # then claims {0} as missed, which the extension reaches.
     "3.44-literal-image": (
