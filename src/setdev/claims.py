@@ -10,11 +10,19 @@ functions through this module's globals at call time, never through names
 bound at import, since planted faults and the benchmark tracer rebind those
 globals. Direct definitional tests used as the second route of a cross-check
 are written out literally here rather than reusing library shortcuts.
+
+The predicates of POWERSETS and EXTENSIONS receive a ``MappingFacts`` per
+mapping, which the claims the engine sweeps together share. Its facts are
+library routes (the subset maps, the image, and kappa, kernel and deviation
+of the preimage map) and the direct routes ``inj_direct`` and
+``surj_direct``; each is computed on first read and dropped with the
+mapping. No claim reads both sides of a cross-check from one fact.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from itertools import product
 from typing import Iterator
 
@@ -94,10 +102,67 @@ def _homs(order: int) -> Iterator[GroupHom]:
         yield from enumerate_homs(a, b)
 
 
+class CodomainFacts:
+    """The discrete partition of a powerset carrier P(Y) and its singleton
+    identification, built on first read and shared by the mappings into Y
+    of one sweep."""
+
+    def __init__(self, n: int) -> None:
+        self.carrier = FiniteSet(1 << n)
+
+    @cached_property
+    def bottom(self) -> Partition:
+        return discrete(self.carrier)
+
+    @cached_property
+    def singletons(self) -> Mapping:
+        return iota(self.carrier)
+
+
+class MappingFacts:
+    """A mapping f, the CodomainFacts of P(cod f) and the facts of f that the
+    powerset claims share: each is computed on first read by COMPUTE, which
+    calls the library through this module's globals, and kept as long as the
+    object. Slots, not cached_property, which locks on every first read and
+    measured slower at one object per mapping."""
+
+    COMPUTE = {
+        "tilde": lambda m: direct_image_map(m.f),
+        "pre": lambda m: preimage_map(m.f),
+        "restricted": lambda m: restrict_preimage_to_image(m.f),
+        "kappa": lambda m: kappa(m.pre),
+        "pre_kernel": lambda m: kernel_partition(m.pre),
+        "pre_deviation": lambda m: deviation(m.pre),
+        "image": lambda m: image(m.f),
+        # The direct routes, read off the raw table.
+        "inj_direct": lambda m: _inj_direct(m.f),
+        "surj_direct": lambda m: _surj_direct(m.f),
+    }
+    __slots__ = ("f", "codomain", *COMPUTE)
+
+    def __init__(self, f: Mapping, codomain: CodomainFacts) -> None:
+        self.f, self.codomain = f, codomain
+
+    def __getattr__(self, name: str):
+        # Reached only for a fact not computed yet.
+        if name not in MappingFacts.COMPUTE:
+            raise AttributeError(name)
+        value = MappingFacts.COMPUTE[name](self)
+        setattr(self, name, value)
+        return value
+
+
+def _mapping_facts(bound: int) -> Iterator[MappingFacts]:
+    """The facts of each mapping in mappings(bound) order."""
+    codomains = [CodomainFacts(n) for n in range(bound + 1)]
+    for f in mappings(bound):
+        yield MappingFacts(f, codomains[f.cod.size])
+
+
 SETS = Domain("max_set_size", elements=mappings)
 TRIPLES = Domain("max_triple_size")
-POWERSETS = Domain("max_powerset_base", elements=mappings)
-EXTENSIONS = Domain("max_powerset_base", MAX_EXTENSION_BASE, mappings)
+POWERSETS = Domain("max_powerset_base", elements=_mapping_facts)
+EXTENSIONS = Domain("max_powerset_base", MAX_EXTENSION_BASE, _mapping_facts)
 HOMS = Domain("max_group_order", MAX_HOM_ORDER, _homs)
 COMPOSITIONS = Domain("max_group_order", MAX_COMPOSITION_ORDER)
 ORACLE_GROUPS = Domain(
@@ -580,90 +645,70 @@ def check_tilde_empty(bound: int):
 
 
 @claim("L3.1", POWERSETS)
-def check_tilde_lemma(f: Mapping):
+def check_tilde_lemma(m: MappingFacts):
     """A mapping and its subset extension are injective, surjective,
     bijective together."""
-    tilde = direct_image_map(f)
-    inj, surj = _inj_direct(f), _surj_direct(f)
+    tilde, inj, surj = m.tilde, m.inj_direct, m.surj_direct
     ok = (
         inj == tilde.is_injective()
         and surj == tilde.is_surjective()
         and (inj and surj) == tilde.is_bijective()
     )
-    return None if ok else _pair_witness(f)
+    return None if ok else _pair_witness(m.f)
 
 
 @claim("L3.2", POWERSETS)
-def check_preimage_lemma(f: Mapping):
+def check_preimage_lemma(m: MappingFacts):
     """The preimage map is surjective iff the mapping is injective, injective iff it
     is surjective, and its restriction to subsets of the image is always injective."""
-    pre = preimage_map(f)
-    restricted = restrict_preimage_to_image(f)
-    inj, surj = _inj_direct(f), _surj_direct(f)
+    pre, inj, surj = m.pre, m.inj_direct, m.surj_direct
     ok = (
         pre.is_surjective() == inj
-        and restricted.is_injective()
+        and m.restricted.is_injective()
         and pre.is_injective() == surj
         and pre.is_bijective() == (inj and surj)
     )
-    return None if ok else _pair_witness(f)
+    return None if ok else _pair_witness(m.f)
 
 
 @claim("3.29-3.30", POWERSETS)
-def check_galois_identities(f: Mapping):
+def check_galois_identities(m: MappingFacts):
     """Every subset sits inside the preimage of its image, with
     equality for all subsets exactly when the mapping is injective;
     taking images retracts preimages on subsets of the image."""
-    tilde = direct_image_map(f).table
-    pre = preimage_map(f).table
-    subsets = _image_subsets(image(f))
+    tilde, pre = m.tilde.table, m.pre.table
+    subsets = _image_subsets(m.image)
     # back[a] is the preimage of the image of a.
     back = [pre[t] for t in tilde]
     expand_ok = [a | b for a, b in enumerate(back)] == back
-    equal_all = back == list(range(1 << f.dom.size))
+    equal_all = back == list(range(1 << m.f.dom.size))
     collapse_ok = [tilde[pre[v]] for v in subsets] == subsets
-    ok = expand_ok and collapse_ok and (equal_all == _inj_direct(f))
-    return None if ok else _pair_witness(f)
+    ok = expand_ok and collapse_ok and (equal_all == m.inj_direct)
+    return None if ok else _pair_witness(m.f)
 
 
 @claim("L3.3a", POWERSETS)
-def check_kappa_lemma(bound: int):
+def check_kappa_lemma(m: MappingFacts):
     """Subsets of the image enumerate the kernel classes of the preimage
     map bijectively, and that kernel is discrete exactly for surjective
     mappings, where the enumeration is the singleton identification."""
-    # Discrete partitions of each P(Y) and their singleton identifications.
-    bottoms = [discrete(FiniteSet(1 << n)) for n in range(bound + 1)]
-    singletons = [iota(p.base) for p in bottoms]
-    for f in mappings(bound):
-        pre = preimage_map(f)
-        ka = kappa(pre)
-        bijection = ka.is_bijective()
-        ny = f.cod.size
-        discrete_on_py = kernel_partition(pre) == bottoms[ny]
-        surj = _surj_direct(f)
-        ok = bijection and discrete_on_py == surj and (not surj or ka == singletons[ny])
-        yield None if ok else _pair_witness(f)
+    ka, surj = m.kappa, m.surj_direct
+    discrete_on_py = m.pre_kernel == m.codomain.bottom
+    ok = ka.is_bijective() and discrete_on_py == surj and (not surj or ka == m.codomain.singletons)
+    return None if ok else _pair_witness(m.f)
 
 
 @claim("L3.3b", POWERSETS)
-def check_preimage_deviation_lemma(bound: int):
+def check_preimage_deviation_lemma(m: MappingFacts):
     """The deviation of the preimage map characterizes injectivity,
     surjectivity, and bijectivity of the original mapping."""
-    bottoms = [discrete(FiniteSet(1 << n)) for n in range(bound + 1)]
-    for f in mappings(bound):
-        pre = preimage_map(f)
-        dev = deviation(pre)
-        ka = kappa(pre)
-        injective_form = dev.missed == 0 and ka.is_bijective()
-        surjective_form = dev.part == bottoms[f.cod.size]
-        bijective_form = surjective_form and dev.missed == 0
-        inj, surj = _inj_direct(f), _surj_direct(f)
-        ok = (
-            injective_form == inj
-            and surjective_form == surj
-            and bijective_form == (inj and surj)
-        )
-        yield None if ok else _pair_witness(f)
+    dev, ka = m.pre_deviation, m.kappa
+    injective_form = dev.missed == 0 and ka.is_bijective()
+    surjective_form = dev.part == m.codomain.bottom
+    bijective_form = surjective_form and dev.missed == 0
+    inj, surj = m.inj_direct, m.surj_direct
+    ok = injective_form == inj and surjective_form == surj and bijective_form == (inj and surj)
+    return None if ok else _pair_witness(m.f)
 
 
 def _tilde_missed_expected(f: Mapping) -> int:
@@ -680,58 +725,55 @@ def _missed_mask(g: Mapping) -> int:
 
 
 @claim("T3.1", EXTENSIONS)
-def check_theorem_injective(f: Mapping):
+def check_theorem_injective(m: MappingFacts):
     """Six characterizations of injectivity coincide: the mapping, its
     subset extension, preimage surjectivity, and the three deviation
     shapes (with the extension's missed set in computed form)."""
-    tilde = direct_image_map(f)
-    pre = preimage_map(f)
+    f, tilde = m.f, m.tilde
     items = (
-        _inj_direct(f),
+        m.inj_direct,
         tilde.is_injective(),
-        pre.is_surjective(),
+        m.pre.is_surjective(),
         kernel_partition(f) == discrete(f.dom),
         kernel_partition(tilde) == discrete(tilde.dom)
         and _missed_mask(tilde) == _tilde_missed_expected(f),
-        deviation(pre).missed == 0,
+        m.pre_deviation.missed == 0,
     )
     return None if len(set(items)) == 1 else _pair_witness(f, items=list(items))
 
 
 @claim("T3.2", EXTENSIONS)
-def check_theorem_surjective(f: Mapping):
+def check_theorem_surjective(m: MappingFacts):
     """Six characterizations of surjectivity coincide."""
-    tilde = direct_image_map(f)
-    pre = preimage_map(f)
+    f, tilde, pre = m.f, m.tilde, m.pre
     items = (
-        _surj_direct(f),
+        m.surj_direct,
         tilde.is_surjective(),
         pre.is_injective(),
-        image(f) == (1 << f.cod.size) - 1,
+        m.image == (1 << f.cod.size) - 1,
         _missed_mask(tilde) == 0,
-        kernel_partition(pre) == discrete(pre.dom),
+        m.pre_kernel == discrete(pre.dom),
     )
     return None if len(set(items)) == 1 else _pair_witness(f, items=list(items))
 
 
 @claim("T3.3", EXTENSIONS)
-def check_theorem_bijective(f: Mapping):
+def check_theorem_bijective(m: MappingFacts):
     """Six characterizations of bijectivity coincide."""
-    tilde = direct_image_map(f)
-    pre = preimage_map(f)
+    f, tilde, pre = m.f, m.tilde, m.pre
     items = (
-        _inj_direct(f) and _surj_direct(f),
+        m.inj_direct and m.surj_direct,
         tilde.is_bijective(),
         pre.is_bijective(),
-        kernel_partition(f) == discrete(f.dom) and image(f) == (1 << f.cod.size) - 1,
+        kernel_partition(f) == discrete(f.dom) and m.image == (1 << f.cod.size) - 1,
         kernel_partition(tilde) == discrete(tilde.dom) and _missed_mask(tilde) == 0,
-        kernel_partition(pre) == discrete(pre.dom) and _missed_mask(pre) == 0,
+        m.pre_kernel == discrete(pre.dom) and _missed_mask(pre) == 0,
     )
     return None if len(set(items)) == 1 else _pair_witness(f, items=list(items))
 
 
 @claim("3.44-literal", EXTENSIONS, VERDICT_REFUTED)
-def check_tilde_deviation_literal(f: Mapping):
+def check_tilde_deviation_literal(m: MappingFacts):
     """Missed subsets of the extension of an injective mapping form the
     powerset of the complement of the image (literal reading, empty set
     aside); refuted, since subsets straddling image and complement are
@@ -741,13 +783,13 @@ def check_tilde_deviation_literal(f: Mapping):
     subsets of the complement; it falls short as soon as both the image and
     its complement are nonempty.
     """
-    tilde = direct_image_map(f)
+    f, tilde = m.f, m.tilde
     ny = f.cod.size
-    comp = image(f) ^ ((1 << ny) - 1)
+    comp = m.image ^ ((1 << ny) - 1)
     claimed = sum(1 << b for b in range(1, 1 << ny) if b & ~comp == 0)
     missed = _missed_mask(tilde)
     literal_holds = kernel_partition(tilde) == discrete(tilde.dom) and missed == claimed
-    if literal_holds == _inj_direct(f):
+    if literal_holds == m.inj_direct:
         return None
     return _pair_witness(
         f,
@@ -767,22 +809,20 @@ def check_tilde_deviation_computed(bound: int):
 
 
 @claim("3.58-3.61", POWERSETS)
-def check_composition_identities(f: Mapping):
+def check_composition_identities(m: MappingFacts):
     """Preimage after extension is the identity for injective mappings, extension after
     restricted preimage is the inclusion of image subsets, extension after preimage is
     the identity for surjective mappings, and the restricted preimage is injective."""
-    tilde = direct_image_map(f).table
-    pre = preimage_map(f).table
-    restricted = restrict_preimage_to_image(f)
+    tilde, pre, restricted = m.tilde.table, m.pre.table, m.restricted
     ok = (
         restricted.is_injective()
-        and (not _inj_direct(f) or [pre[t] for t in tilde] == list(range(1 << f.dom.size)))
+        and (not m.inj_direct or [pre[t] for t in tilde] == list(range(1 << m.f.dom.size)))
         # The restricted preimage is indexed by subsets of the image as
         # _image_subsets lists them, so extension after it is the inclusion.
-        and [tilde[v] for v in restricted.table] == _image_subsets(image(f))
-        and (not _surj_direct(f) or [tilde[v] for v in pre] == list(range(1 << f.cod.size)))
+        and [tilde[v] for v in restricted.table] == _image_subsets(m.image)
+        and (not m.surj_direct or [tilde[v] for v in pre] == list(range(1 << m.f.cod.size)))
     )
-    return None if ok else _pair_witness(f)
+    return None if ok else _pair_witness(m.f)
 
 
 # --- chu spaces --------------------------------------------------------------
@@ -898,11 +938,12 @@ def check_embedding_faithful(bound: int):
 
 
 @claim("E-fullness", EXTENSIONS)
-def check_embedding_full(f: Mapping):
+def check_embedding_full(m: MappingFacts):
     """Between evaluation spaces every valid morphism has the forced
     backward component and hence is an embedded mapping."""
     # forced_backward solves adjointness for each target state; a unique
     # solution everywhere means f has exactly one valid backward map.
+    f = m.f
     backward = forced_backward(f)
     ok = backward is not None and ChuMorphism(f, backward) == embed(f)
     return None if ok else _pair_witness(f)

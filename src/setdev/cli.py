@@ -15,7 +15,7 @@ from .abgroup import GroupHom, devg
 from .chu import e_space, embed, ex_deviation, morphism_is_valid
 from .finset import Mapping, canonical_factorization, classify, deviation, elements, kernel_partition
 from .powerset import MAX_BASE
-from .verifier import Universe, check_claim, machine_records, registry, text_report
+from .verifier import Universe, check_claim, machine_records, registry, text_report, together
 
 USAGE_ERROR = 2
 # Largest domain or codomain of a mapping literal, since output grows with
@@ -102,7 +102,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         selected = list(reg.values())
     _emit("", args.output)  # an unwritable path is refused before the sweep
-    reports = [check_claim(c, universe) for c in selected]
+    with together(selected, universe):
+        reports = [check_claim(c, universe) for c in selected]
     if args.format == "machine":
         _emit(machine_records(reports, include_millis=args.timings), args.output)
     else:

@@ -11,7 +11,7 @@ item per instance and may return a verdict to replace the default for a
 sweep without a witness.
 
 ``check_claim`` counts the items (the one carrying the witness included)
-and stops at the first witness. A sweep may also yield a non-negative
+and stops at the first witness. A generator may also yield a non-negative
 ``int``, read as that many passing instances at once; the test is
 ``type(item) is int``, so a bool is a witness like any other. A claim
 expecting a counterexample reports counterexample-found-as-required with a
@@ -19,12 +19,23 @@ witness and skipped without one; any other reports refuted-as-stated or
 verified. Enumeration order is fixed (sizes by total, then lexicographic),
 so for a fixed universe two runs produce identical reports and reported
 witnesses are minimal for their claim.
+
+Inside ``together(claims, universe)``, as ``check_all`` and ``verify`` run
+it, the predicate claims with one domain and one resolved bound form a
+group: the first ``check_claim`` of a group enumerates the domain once and
+hands each element to every claim of the group without a witness yet, in
+selection order, and the later calls return the reports it stored. So the
+facts an element carries (``claims.MappingFacts`` on the powerset domains)
+are computed once for all the claims reading them and dropped with it. A
+predicate's time is that of its own calls, facts it was first to read
+included.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product
 from inspect import isgeneratorfunction
@@ -83,12 +94,6 @@ class Claim:
     expected: str
     # A predicate over one element, or a generator over the resolved bound.
     check: Callable = field(compare=False, repr=False)
-
-    def sweep(self, n: int) -> Iterator[object]:
-        """None per instance that passes, or an int counting that many,
-        until the witness of the first that fails."""
-        check = self.check
-        return check(n) if isgeneratorfunction(check) else (check(x) for x in self.domain.elements(n))
 
 
 @dataclass(frozen=True)
@@ -159,20 +164,54 @@ def registry() -> dict[str, Claim]:
     return REGISTRY
 
 
+# Inside together(): (claim id, universe) -> the group of predicate claims
+# to sweep it with, then its report or error once the group is swept. The
+# CLI and the benchmark call check_claim(claim, universe) per claim.
+_planned: dict = {}
+
+
+@contextmanager
+def together(claims: Iterable[Claim], universe: Universe) -> Iterator[None]:
+    """Within the block, check_claim sweeps the predicate claims among these
+    with one domain and resolved bound once, as a group."""
+    groups: dict = {}
+    for c in claims:
+        if not isgeneratorfunction(c.check):
+            _planned[c.id, universe] = group = groups.setdefault((c.domain, c.domain.bound(universe)), [])
+            group.append(c)
+    try:
+        yield
+    finally:
+        _planned.clear()
+
+
 def check_claim(claim: Claim | str, universe: Universe) -> Report:
-    """Run one claim's sweep: count its items and stop at the first witness."""
+    """Run one claim's sweep: count its items and stop at the first witness.
+
+    Inside together(), the first call for a claim of a group sweeps the
+    group, and each later call returns what the sweep found for its claim.
+    """
     if isinstance(claim, str):
         reg = registry()
         if claim not in reg:
             raise KeyError(f"unknown claim id: {claim}")
         claim = reg[claim]
-    if claim.expected == VERDICT_COUNTEREXAMPLE:
-        found, exhausted = VERDICT_COUNTEREXAMPLE, VERDICT_SKIPPED
-    else:
-        found, exhausted = VERDICT_REFUTED, VERDICT_VERIFIED
+    n = claim.domain.bound(universe)
+    found = _planned.pop((claim.id, universe), [claim])
+    if isgeneratorfunction(claim.check):
+        return _run_generator(claim, n)
+    if isinstance(found, list):
+        _run_predicates(found, n, universe)
+        found = _planned.pop((claim.id, universe))
+    if isinstance(found, Exception):
+        raise found
+    return found
+
+
+def _run_generator(claim: Claim, n: int) -> Report:
     start = time.perf_counter()
-    sweep = claim.sweep(claim.domain.bound(universe))
-    instances = 0
+    sweep = claim.check(n)
+    instances, verdict = 0, None
     try:
         while True:
             while (witness := next(sweep)) is None:
@@ -183,23 +222,56 @@ def check_claim(claim: Claim | str, universe: Universe) -> Report:
                 raise AssertionError(f"claim {claim.id} yielded a negative count {witness}")
             instances += witness
         instances += 1
-        verdict = found
         sweep.close()
     except StopIteration as end:
         # A generator may return a verdict to replace the default of a
         # sweep that found no witness.
-        witness = None
-        verdict = end.value or exhausted
-    elapsed = (time.perf_counter() - start) * 1000.0
+        witness, verdict = None, end.value
+    return _report(claim, witness, instances, time.perf_counter() - start, verdict)
+
+
+def _run_predicates(claims: list[Claim], n: int, universe: Universe) -> None:
+    """Hand each element of the claims' domain to every claim without a
+    witness or an error yet, in order, and plan each claim's report or error."""
+    clock = time.perf_counter
+    # Per claim: its check, instances, seconds and witness or error.
+    active = [[c.check, 0, 0.0, None] for c in claims]
+    runs = list(active)
+    for x in claims[0].domain.elements(n):
+        for run in active:
+            start = clock()
+            try:
+                run[3] = run[0](x)
+            except Exception as error:
+                # Raised by the claim's own check_claim call, as when it runs
+                # alone; the other claims sweep on.
+                run[3] = error
+            run[2] += clock() - start
+            run[1] += 1
+        active = [run for run in active if run[3] is None]
+        if not active:
+            break
+    for c, (_, instances, seconds, found) in zip(claims, runs):
+        _planned[c.id, universe] = found if isinstance(found, Exception) else _report(c, found, instances, seconds)
+
+
+def _report(claim: Claim, witness: object, instances: int, seconds: float, verdict: str | None = None) -> Report:
+    if claim.expected == VERDICT_COUNTEREXAMPLE:
+        found, exhausted = VERDICT_COUNTEREXAMPLE, VERDICT_SKIPPED
+    else:
+        found, exhausted = VERDICT_REFUTED, VERDICT_VERIFIED
+    verdict = found if witness is not None else verdict or exhausted
     if verdict not in VERDICTS:
         raise AssertionError(f"claim {claim.id} produced unknown verdict {verdict}")
     if verdict in (VERDICT_REFUTED, VERDICT_COUNTEREXAMPLE) and witness is None:
         raise AssertionError(f"claim {claim.id} reported {verdict} without a witness")
-    return Report(claim.id, verdict, claim.expected, witness, instances, elapsed)
+    return Report(claim.id, verdict, claim.expected, witness, instances, seconds * 1000.0)
 
 
 def check_all(universe: Universe) -> tuple[Report, ...]:
-    return tuple(check_claim(c, universe) for c in registry().values())
+    claims = tuple(registry().values())
+    with together(claims, universe):
+        return tuple(check_claim(c, universe) for c in claims)
 
 
 def machine_records(reports: tuple[Report, ...] | list[Report], include_millis: bool = False) -> str:

@@ -5,14 +5,17 @@ import os
 import subprocess
 import sys
 import time
+from inspect import isgeneratorfunction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import setdev
+from setdev import claims
 from setdev.abgroup import MAX_TRIAL_DIVISOR
 from setdev.cli import MAX_CARRIER, main
+from setdev.verifier import registry
 
 
 def run(capsys, *argv):
@@ -257,6 +260,20 @@ def test_verify_machine_round_trip(capsys):
     assert [r["id"] for r in records[:-1]] == ["T1.1", "1.12"]
     assert records[-1]["type"] == "summary"
     assert records[-1]["all_expected"] is True
+
+
+def test_verify_timings_charge_each_claim_of_a_group_its_own_calls(capsys):
+    # The POWERSETS predicates are swept as one group; each gets the time of
+    # its own predicate calls, and the records are otherwise the default bytes.
+    group = [c.id for c in registry().values() if c.domain is claims.POWERSETS and not isgeneratorfunction(c.check)]
+    assert len(group) == 6
+    argv = ["--format", "machine", "verify", "--max-group-order", "4"]
+    _, plain, _ = run(capsys, *argv)
+    _, timed, _ = run(capsys, *argv, "--timings")
+    records = [json.loads(line) for line in timed.splitlines()]
+    millis = {r["id"]: r.pop("millis") for r in records if r["type"] == "claim"}
+    assert all(millis[claim_id] > 0 for claim_id in group)
+    assert "".join(json.dumps(r, sort_keys=True) + "\n" for r in records) == plain
 
 
 def test_verify_exit_one_on_unexpected_verdict(capsys):

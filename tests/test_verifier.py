@@ -13,7 +13,7 @@ from types import FunctionType
 import pytest
 
 import setdev
-from setdev import abgroup, claims, verifier
+from setdev import abgroup, claims, cli, verifier
 from setdev.abgroup import FinAbGroup, GroupHom, enumerate_groups, enumerate_homs
 from setdev.finset import FiniteSet, Mapping
 from setdev.verifier import (
@@ -31,6 +31,7 @@ from setdev.verifier import (
     size_triples,
     text_report,
 )
+from test_mutations import ROWS as MUTATION_ROWS, _lie
 
 REGISTRY = registry()
 
@@ -200,6 +201,111 @@ def test_machine_records_golden(universe, claim_ids, digest):
     ids = claim_ids or list(REGISTRY)
     text = machine_records([check_claim(c, universe) for c in ids])
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+# The rows test_machine_records_golden pins, read off its parametrize mark.
+(_GOLDEN,) = test_machine_records_golden.pytestmark
+
+
+@pytest.mark.parametrize(_GOLDEN.args[0], _GOLDEN.args[1], ids=_GOLDEN.kwargs["ids"])
+def test_shared_sweeps_print_the_claim_by_claim_bytes(capsys, universe, claim_ids, digest):
+    # verify sweeps each group of predicate claims once; the golden test
+    # checks the claims one check_claim at a time.
+    flags = {
+        "--max-size": universe.max_set_size,
+        "--max-triple-size": universe.max_triple_size,
+        "--max-group-order": universe.max_group_order,
+        "--max-powerset-base": universe.max_powerset_base,
+    }
+    argv = ["--format", "machine", "verify", *(str(v) for pair in flags.items() for v in pair)]
+    cli.main(argv + (["--claims", ",".join(claim_ids)] if claim_ids else []))
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def _powerset_predicates():
+    return [c for c in REGISTRY.values() if c.domain is claims.POWERSETS and not inspect.isgeneratorfunction(c.check)]
+
+
+def test_shared_sweep_builds_each_fact_once_per_mapping(monkeypatch):
+    selected = _powerset_predicates()
+    assert [c.id for c in selected] == ["L3.1", "L3.2", "3.29-3.30", "L3.3a", "L3.3b", "3.58-3.61"]
+    calls = dict.fromkeys(["preimage_map", "direct_image_map", "kappa", "restrict_preimage_to_image"], 0)
+
+    def counting(name, honest):
+        def count(*args):
+            calls[name] += 1
+            return honest(*args)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(claims, name, counting(name, getattr(claims, name)))
+    universe = Universe(max_powerset_base=4)
+    with verifier.together(selected, universe):
+        reports = [check_claim(c, universe) for c in selected]
+    assert {r.verdict for r in reports} == {VERDICT_VERIFIED}
+    # One call per mapping between carriers of size at most 4.
+    assert calls == dict.fromkeys(calls, _mapping_count(4))
+
+
+def test_shared_sweep_hands_each_claim_its_own_elements_and_stops_it_at_its_witness():
+    seen = {"a": [], "b": []}
+
+    def predicate(name, fails_at):
+        def check(f):
+            seen[name].append(f.table)
+            return {"at": list(f.table)} if len(seen[name]) == fails_at else None
+
+        return check
+
+    a = verifier.Claim("a", claims.SETS, VERDICT_VERIFIED, predicate("a", 3))
+    b = verifier.Claim("b", claims.SETS, VERDICT_VERIFIED, predicate("b", 0))
+    with verifier.together([a, b], SMALL):
+        first, second = check_claim(a, SMALL), check_claim(b, SMALL)
+    assert len(seen["a"]) == 3 and first.instances == 3 and first.verdict == VERDICT_REFUTED
+    assert seen["b"][:3] == seen["a"] and second.instances == _mapping_count(2) == len(seen["b"])
+    assert second.verdict == VERDICT_VERIFIED and second.elapsed_ms > 0
+
+
+_SHARED_DOMAINS = (claims.POWERSETS, claims.EXTENSIONS)
+
+
+@pytest.mark.parametrize("row", [key for key, row in MUTATION_ROWS.items() if REGISTRY[row[0]].domain in _SHARED_DOMAINS])
+def test_shared_sweep_refutes_the_same_lie(monkeypatch, row):
+    # A planted-fault row of test_mutations.py with its claim swept together
+    # with every predicate claim of its domain: it reports the pinned witness
+    # and count, and each other claim reports what it reports alone.
+    claim_id, name, lied_about, answer, universe, witness, instances = MUTATION_ROWS[row]
+    _lie(monkeypatch, name, lied_about, answer)
+    lied_to = REGISTRY[claim_id]
+    selected = [lied_to] + [
+        c
+        for c in REGISTRY.values()
+        if c.domain is lied_to.domain and c is not lied_to and not inspect.isgeneratorfunction(c.check)
+    ]
+    with verifier.together(selected, universe):
+        shared = [_outcome(c, universe) for c in selected]
+    assert shared[0] == (VERDICT_REFUTED, witness, instances)
+    # Some lies reach another claim as input it refuses: the lied preimage
+    # map of 3.29-3.30-pre is no preimage map to kappa, so L3.3a raises.
+    assert shared[1:] == [_outcome(c, universe) for c in selected[1:]]
+
+
+def _outcome(claim, universe):
+    try:
+        report = check_claim(claim, universe)
+    except ValueError as error:
+        return repr(error)
+    return report.verdict, report.witness, report.instances
+
+
+def test_mappings_of_a_smaller_bound_are_a_filtered_prefix_order():
+    # Sweeping one domain at two bounds at once needs mappings(b) to be
+    # mappings(b2) kept to carriers of size at most b, in the same order.
+    signed = {b: [(f.dom.size, f.cod.size, f.table) for f in verifier.mappings(b)] for b in range(6)}
+    for b, b2 in product(range(6), repeat=2):
+        if b < b2:
+            assert signed[b] == [s for s in signed[b2] if s[0] <= b and s[1] <= b], (b, b2)
 
 
 def _partitions(k):
