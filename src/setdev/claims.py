@@ -1,17 +1,17 @@
 """The claim registry: every law of the deviation calculus, made executable.
 
 Each claim is a check declared with ``@claim`` on one of the domains below,
-which fix the Universe field it sweeps and the layer cap, if any, below it;
-its docstring states the law. Most checks are predicates over one mapping,
-homomorphism or pair of groups of their domain. The rest are generators over
-the resolved bound, because they keep a memo across instances or their
-instances are not the domain's elements. Predicates and domains call library
-functions through this module's globals at call time, never through names
-bound at import, since planted faults and the benchmark tracer rebind those
-globals. Direct definitional tests used as the second route of a cross-check
-are written out literally here rather than reusing library shortcuts.
+which fix the Universe field it sweeps, the layer cap, if any, below it and
+what the check receives: each mapping, signature ``(nx, ny)``, carrier size,
+size triple, homomorphism or pair of groups, or the resolved bound alone.
+A check returns one item per call or yields several; its docstring states
+the law. Checks and domains call library functions through this module's
+globals at call time, never through names bound at import, since planted
+faults and the benchmark tracer rebind those globals. Direct definitional
+tests used as the second route of a cross-check are written out literally
+here rather than reusing library shortcuts.
 
-The predicates of POWERSETS and EXTENSIONS receive a ``MappingFacts`` per
+The checks of POWERSETS and EXTENSIONS receive a ``MappingFacts`` per
 mapping, which the claims the engine sweeps together share. Its facts are
 library routes (the subset maps, the image, and kappa, kernel and deviation
 of the preimage map) and the direct routes ``inj_direct`` and
@@ -96,9 +96,14 @@ MAX_COMPOSITION_ORDER = 8
 MAX_EXTENSION_BASE = 3
 
 
+def _group_pairs(order: int) -> Iterator[tuple[FinAbGroup, FinAbGroup]]:
+    """Every pair of groups of order at most order."""
+    return product(enumerate_groups(order), repeat=2)
+
+
 def _homs(order: int) -> Iterator[GroupHom]:
     """Every homomorphism between groups of order at most order, by group pair."""
-    for a, b in product(enumerate_groups(order), repeat=2):
+    for a, b in _group_pairs(order):
         yield from enumerate_homs(a, b)
 
 
@@ -160,14 +165,19 @@ def _mapping_facts(bound: int) -> Iterator[MappingFacts]:
 
 
 SETS = Domain("max_set_size", elements=mappings)
-TRIPLES = Domain("max_triple_size")
+SET_SIGNATURES = Domain("max_set_size", elements=size_pairs)
+SET_SIZES = Domain("max_set_size", elements=lambda n: range(n + 1))
+TRIPLES = Domain("max_triple_size", elements=size_triples)
+TRIPLE_BOUND = Domain("max_triple_size")
 POWERSETS = Domain("max_powerset_base", elements=_mapping_facts)
+POWERSET_BOUND = Domain("max_powerset_base")
 EXTENSIONS = Domain("max_powerset_base", MAX_EXTENSION_BASE, _mapping_facts)
+EXTENSION_TRIPLES = Domain("max_powerset_base", MAX_EXTENSION_BASE, size_triples)
+EXTENSION_BOUND = Domain("max_powerset_base", MAX_EXTENSION_BASE)
 HOMS = Domain("max_group_order", MAX_HOM_ORDER, _homs)
+HOM_GROUPS = Domain("max_group_order", MAX_HOM_ORDER, _group_pairs)
 COMPOSITIONS = Domain("max_group_order", MAX_COMPOSITION_ORDER)
-ORACLE_GROUPS = Domain(
-    "max_group_order", MAX_ORACLE_ORDER, lambda order: product(enumerate_groups(order), repeat=2)
-)
+ORACLE_GROUPS = Domain("max_group_order", MAX_ORACLE_ORDER, _group_pairs)
 
 
 # --- direct definitional checks (the independent side of cross-checks) ----
@@ -261,133 +271,131 @@ def check_classification(f: Mapping):
     return None if ok else _pair_witness(f, flags=list(c.flags()))
 
 
-@claim("1.3", SETS)
-def check_kernel_bounds(bound: int):
+@claim("1.3", SET_SIGNATURES)
+def check_kernel_bounds(sizes):
     """Kernel partitions sit between discrete and single-block, with
     equality exactly for injective and constant mappings."""
-    for nx, ny in size_pairs(bound):
-        x = FiniteSet(nx)
-        bottom, top = discrete(x), indiscrete(x)
-        for f in enumerate_mappings(x, FiniteSet(ny)):
-            part = kernel_partition(f)
-            ok = (
-                partition_leq(bottom, part)
-                and partition_leq(part, top)
-                and (part == bottom) == _inj_direct(f)
-                and (part == top) == _const_direct(f)
-            )
-            yield None if ok else _pair_witness(f, kernel=part.to_lists())
+    nx, ny = sizes
+    x = FiniteSet(nx)
+    bottom, top = discrete(x), indiscrete(x)
+    for f in enumerate_mappings(x, FiniteSet(ny)):
+        part = kernel_partition(f)
+        ok = (
+            partition_leq(bottom, part)
+            and partition_leq(part, top)
+            and (part == bottom) == _inj_direct(f)
+            and (part == top) == _const_direct(f)
+        )
+        yield None if ok else _pair_witness(f, kernel=part.to_lists())
 
 
-@claim("partition-order", SETS)
-def check_partition_order(bound: int):
+@claim("partition-order", SET_SIZES)
+def check_partition_order(n: int):
     """Refinement is reflexive, antisymmetric on canonical forms, and transitive."""
-    for n in range(bound + 1):
-        parts = list(all_partitions(FiniteSet(n)))
-        # One instance per partition; the pairs and triples yield only to refute.
-        for p in parts:
-            yield None if partition_leq(p, p) else {"size": n, "p": p.to_lists()}
-        for p, q in product(parts, repeat=2):
-            if partition_leq(p, q) and partition_leq(q, p) and p != q:
-                yield {"size": n, "p": p.to_lists(), "q": q.to_lists()}
-        for p, q in product(parts, repeat=2):
-            if not partition_leq(p, q):
-                continue
-            for r in parts:
-                if partition_leq(q, r) and not partition_leq(p, r):
-                    yield {"size": n, "p": p.to_lists(), "q": q.to_lists(), "r": r.to_lists()}
+    parts = list(all_partitions(FiniteSet(n)))
+    # One instance per partition; the pairs and triples yield only to refute.
+    for p in parts:
+        yield None if partition_leq(p, p) else {"size": n, "p": p.to_lists()}
+    for p, q in product(parts, repeat=2):
+        if partition_leq(p, q) and partition_leq(q, p) and p != q:
+            yield {"size": n, "p": p.to_lists(), "q": q.to_lists()}
+    for p, q in product(parts, repeat=2):
+        if not partition_leq(p, q):
+            continue
+        for r in parts:
+            if partition_leq(q, r) and not partition_leq(p, r):
+                yield {"size": n, "p": p.to_lists(), "q": q.to_lists(), "r": r.to_lists()}
 
 
-@claim("L1.1", SETS)
-def check_least_deviation(bound: int):
+@claim("L1.1", SET_SIGNATURES)
+def check_least_deviation(sizes):
     """A mapping is bijective iff its deviation is (discrete, empty) and
     lies below the deviation of every mapping with the same signature."""
-    for nx, ny in size_pairs(bound):
-        x, y = FiniteSet(nx), FiniteSet(ny)
-        full = (1 << ny) - 1
-        least = Deviation(discrete(x), y, 0)
-        # One pass keeps the distinct deviations and two flags per mapping,
-        # not the mappings; a second pass re-enumerates them in order.
-        devs = set()
-        bijective, at_least = [], []
-        for f in enumerate_mappings(x, y):
-            part, img = kernel_partition(f), image(f)
-            devs.add(Deviation(part, y, full ^ img))
-            bijective.append(_inj_direct(f) and _surj_direct(f))
-            at_least.append(part == least.part and img == full)
-        least_is_below_all = all(deviation_leq(least, d) for d in devs)
-        for f, bij, is_at in zip(enumerate_mappings(x, y), bijective, at_least):
-            yield None if bij == (is_at and least_is_below_all) else _pair_witness(f)
+    x, y = FiniteSet(sizes[0]), FiniteSet(sizes[1])
+    full = (1 << y.size) - 1
+    least = Deviation(discrete(x), y, 0)
+    # One pass keeps the distinct deviations and two flags per mapping,
+    # not the mappings; a second pass re-enumerates them in order.
+    devs = set()
+    bijective, at_least = [], []
+    for f in enumerate_mappings(x, y):
+        part, img = kernel_partition(f), image(f)
+        devs.add(Deviation(part, y, full ^ img))
+        bijective.append(_inj_direct(f) and _surj_direct(f))
+        at_least.append(part == least.part and img == full)
+    least_is_below_all = all(deviation_leq(least, d) for d in devs)
+    for f, bij, is_at in zip(enumerate_mappings(x, y), bijective, at_least):
+        yield None if bij == (is_at and least_is_below_all) else _pair_witness(f)
 
 
 @claim("T1.1", TRIPLES)
-def check_dev1_monotone(bound: int):
+def check_dev1_monotone(sizes):
     """The kernel partition of f refines the kernel partition of any
     composite g after f."""
-    for nx, ny, nz in size_triples(bound):
-        y = FiniteSet(ny)
-        fs = list(enumerate_mappings(FiniteSet(nx), y))
-        f_tables = [bytes(f.table) for f in fs]
-        # Kernel partitions are interned per signature as ids in order of
-        # first sighting, each distinct composite table gets its kernel's id
-        # once, and partition_leq runs once per pair of ids. Each id of an
-        # inner kernel keeps the verdicts by composite table.
-        ids: dict[Partition, int] = {}
-        f_ids = [ids.setdefault(kernel_partition(f), len(ids)) for f in fs]
-        verdicts = [{} for _ in ids]
-        f_verdicts = [verdicts[i] for i in f_ids]
-        composite_ids: dict[bytes, int] = {}
-        below: dict[tuple[int, int], bool] = {}
-        # One count per outer g; a failing pair yields the count before it,
-        # then its witness.
-        for g in enumerate_mappings(y, FiniteSet(nz)):
-            lookup = _lookup(g)
-            for at, (f, f_table, i, known) in enumerate(zip(fs, f_tables, f_ids, f_verdicts)):
-                table = f_table.translate(lookup)
-                ok = known.get(table)
+    nx, ny, nz = sizes
+    y = FiniteSet(ny)
+    fs = list(enumerate_mappings(FiniteSet(nx), y))
+    f_tables = [bytes(f.table) for f in fs]
+    # Kernel partitions are interned per signature as ids in order of first
+    # sighting, each distinct composite table gets its kernel's id once, and
+    # partition_leq runs once per pair of ids. Each id of an inner kernel
+    # keeps the verdicts by composite table.
+    ids: dict[Partition, int] = {}
+    f_ids = [ids.setdefault(kernel_partition(f), len(ids)) for f in fs]
+    verdicts = [{} for _ in ids]
+    f_verdicts = [verdicts[i] for i in f_ids]
+    composite_ids: dict[bytes, int] = {}
+    below: dict[tuple[int, int], bool] = {}
+    # One count per outer g; a failing pair yields the count before it, then
+    # its witness.
+    for g in enumerate_mappings(y, FiniteSet(nz)):
+        lookup = _lookup(g)
+        for at, (f, f_table, i, known) in enumerate(zip(fs, f_tables, f_ids, f_verdicts)):
+            table = f_table.translate(lookup)
+            ok = known.get(table)
+            if ok is None:
+                j = composite_ids.get(table)
+                if j is None:
+                    part = kernel_partition(_composite(f, g, table))
+                    j = composite_ids[table] = ids.setdefault(part, len(ids))
+                ok = below.get((i, j))
                 if ok is None:
-                    j = composite_ids.get(table)
-                    if j is None:
-                        part = kernel_partition(_composite(f, g, table))
-                        j = composite_ids[table] = ids.setdefault(part, len(ids))
-                    ok = below.get((i, j))
-                    if ok is None:
-                        parts = list(ids)
-                        ok = below[i, j] = partition_leq(parts[i], parts[j])
-                    known[table] = ok
-                if not ok:
-                    yield at
-                    yield _composite_witness(f, g)
-                    return
-            yield len(fs)
+                    parts = list(ids)
+                    ok = below[i, j] = partition_leq(parts[i], parts[j])
+                known[table] = ok
+            if not ok:
+                yield at
+                yield _composite_witness(f, g)
+                return
+        yield len(fs)
 
 
 @claim("1.12", TRIPLES)
-def check_dev2_outer(bound: int):
+def check_dev2_outer(sizes):
     """The missed set of the outer mapping is contained in the missed
     set of the composite."""
-    for nx, ny, nz in size_triples(bound):
-        y = FiniteSet(ny)
-        fs = list(enumerate_mappings(FiniteSet(nx), y))
-        f_tables = [bytes(f.table) for f in fs]
-        images: dict[bytes, int] = {}
-        # One count per outer g, as in T1.1.
-        for g in enumerate_mappings(y, FiniteSet(nz)):
-            img_g = image(g)
-            lookup = _lookup(g)
-            for at, (f, f_table) in enumerate(zip(fs, f_tables)):
-                table = f_table.translate(lookup)
-                img = images.get(table)
-                if img is None:
-                    img = images[table] = image(_composite(f, g, table))
-                if img & ~img_g:
-                    yield at
-                    yield _composite_witness(f, g)
-                    return
-            yield len(fs)
+    nx, ny, nz = sizes
+    y = FiniteSet(ny)
+    fs = list(enumerate_mappings(FiniteSet(nx), y))
+    f_tables = [bytes(f.table) for f in fs]
+    images: dict[bytes, int] = {}
+    # One count per outer g, as in T1.1.
+    for g in enumerate_mappings(y, FiniteSet(nz)):
+        img_g = image(g)
+        lookup = _lookup(g)
+        for at, (f, f_table) in enumerate(zip(fs, f_tables)):
+            table = f_table.translate(lookup)
+            img = images.get(table)
+            if img is None:
+                img = images[table] = image(_composite(f, g, table))
+            if img & ~img_g:
+                yield at
+                yield _composite_witness(f, g)
+                return
+        yield len(fs)
 
 
-@claim("T1.2-counterexample", TRIPLES, VERDICT_COUNTEREXAMPLE)
+@claim("T1.2-counterexample", TRIPLE_BOUND, VERDICT_COUNTEREXAMPLE)
 def check_dev2_incomparable(bound: int):
     """Missed sets of inner and outer mappings admit strict inclusions
     in both directions, so no fixed comparison holds."""
@@ -406,29 +414,29 @@ def check_dev2_incomparable(bound: int):
                 yield None
 
 
-@claim("rho-not-functor", SETS, VERDICT_COUNTEREXAMPLE)
-def check_rho_not_functor(bound: int):
+@claim("rho-not-functor", SET_SIGNATURES, VERDICT_COUNTEREXAMPLE)
+def check_rho_not_functor(sizes):
     """The induced-bijection assignment has no fixed object part: its
     domain and codomain vary with the mapping."""
-    for nx, ny in size_pairs(bound):
-        maps = list(enumerate_mappings(FiniteSet(nx), FiniteSet(ny)))
-        for i, f in enumerate(maps):
-            part_f, img_f = kernel_partition(f), image(f)
-            for g in maps[i + 1 :]:
-                part_g, img_g = kernel_partition(g), image(g)
-                if part_f == part_g and img_f == img_g:
-                    yield None
-                    continue
-                yield {
-                    "x_size": nx,
-                    "y_size": ny,
-                    "f": f.to_json_dict(),
-                    "g": g.to_json_dict(),
-                    "kernel_f": part_f.to_lists(),
-                    "kernel_g": part_g.to_lists(),
-                    "image_f": list(elements(img_f)),
-                    "image_g": list(elements(img_g)),
-                }
+    nx, ny = sizes
+    maps = list(enumerate_mappings(FiniteSet(nx), FiniteSet(ny)))
+    for i, f in enumerate(maps):
+        part_f, img_f = kernel_partition(f), image(f)
+        for g in maps[i + 1 :]:
+            part_g, img_g = kernel_partition(g), image(g)
+            if part_f == part_g and img_f == img_g:
+                yield None
+                continue
+            yield {
+                "x_size": nx,
+                "y_size": ny,
+                "f": f.to_json_dict(),
+                "g": g.to_json_dict(),
+                "kernel_f": part_f.to_lists(),
+                "kernel_g": part_g.to_lists(),
+                "image_f": list(elements(img_f)),
+                "image_g": list(elements(img_g)),
+            }
 
 
 # --- group deviations -------------------------------------------------------
@@ -449,34 +457,32 @@ def check_devg_oracle(f: GroupHom):
     }
 
 
-@claim("L2.1", HOMS)
-def check_group_lemma(bound: int):
+@claim("L2.1", HOM_GROUPS)
+def check_group_lemma(pair: tuple[FinAbGroup, FinAbGroup]):
     """A homomorphism is an isomorphism iff its group deviation is (domain,
     trivial) and lies below every other; surjective iff the second
     component is trivial; injective iff the first is the whole domain."""
-    groups = enumerate_groups(bound)
-    for a in groups:
-        for b in groups:
-            tb = element_table(b)
-            full = (1 << b.order()) - 1
-            homs = list(enumerate_homs(a, b))
-            d1s = [devg1(f) for f in homs]
-            d2s = [devg2(f) for f in homs]
-            least = GroupDeviation(a, TRIVIAL_GROUP)
-            devs = {GroupDeviation(d1, d2) for d1, d2 in zip(d1s, d2s)}
-            least_is_below_all = all(devg_leq(least, d) for d in devs)
-            for f, d1, d2 in zip(homs, d1s, d2s):
-                values = tb.table(f)
-                inj = kernel_mask(values) == 1
-                surj = image_mask(values) == full
-                if surj != d2.is_trivial():
-                    yield {"hom": f.to_json_dict(), "case": "surjective"}
-                elif inj != (d1 == a):
-                    yield {"hom": f.to_json_dict(), "case": "injective"}
-                elif (inj and surj) != (d1 == a and d2.is_trivial() and least_is_below_all):
-                    yield {"hom": f.to_json_dict(), "case": "isomorphism"}
-                else:
-                    yield None
+    a, b = pair
+    tb = element_table(b)
+    full = (1 << b.order()) - 1
+    homs = list(enumerate_homs(a, b))
+    d1s = [devg1(f) for f in homs]
+    d2s = [devg2(f) for f in homs]
+    least = GroupDeviation(a, TRIVIAL_GROUP)
+    devs = {GroupDeviation(d1, d2) for d1, d2 in zip(d1s, d2s)}
+    least_is_below_all = all(devg_leq(least, d) for d in devs)
+    for f, d1, d2 in zip(homs, d1s, d2s):
+        values = tb.table(f)
+        inj = kernel_mask(values) == 1
+        surj = image_mask(values) == full
+        if surj != d2.is_trivial():
+            yield {"hom": f.to_json_dict(), "case": "surjective"}
+        elif inj != (d1 == a):
+            yield {"hom": f.to_json_dict(), "case": "injective"}
+        elif (inj and surj) != (d1 == a and d2.is_trivial() and least_is_below_all):
+            yield {"hom": f.to_json_dict(), "case": "isomorphism"}
+        else:
+            yield None
 
 
 @claim("T2.1", COMPOSITIONS)
@@ -630,18 +636,16 @@ def check_embeds_oracle(pair: tuple[FinAbGroup, FinAbGroup]):
 
 
 @claim("3.18", POWERSETS)
-def check_tilde_empty(bound: int):
+def check_tilde_empty(m: MappingFacts):
     """The subset extension sends exactly the empty set to the empty set."""
-    for f in mappings(bound):
-        tilde = direct_image_map(f).table
-        # One count per mapping: every subset passes when only the empty set, at 0, goes to 0.
-        if tilde[0] == 0 and tilde.count(0) == 1:
-            yield len(tilde)
-            continue
-        a = tilde.index(0, 1) if tilde[0] == 0 else 0  # the first subset that fails
-        yield a
-        yield _pair_witness(f, subset=list(elements(a)))
+    tilde = m.tilde.table
+    # One count per mapping: every subset passes when only the empty set, at 0, goes to 0.
+    if tilde[0] == 0 and tilde.count(0) == 1:
+        yield len(tilde)
         return
+    a = tilde.index(0, 1) if tilde[0] == 0 else 0  # the first subset that fails
+    yield a
+    yield _pair_witness(m.f, subset=list(elements(a)))
 
 
 @claim("L3.1", POWERSETS)
@@ -799,13 +803,13 @@ def check_tilde_deviation_literal(m: MappingFacts):
 
 
 @claim("3.44-computed", EXTENSIONS)
-def check_tilde_deviation_computed(bound: int):
+def check_tilde_deviation_computed(m: MappingFacts):
     """For injective mappings the extension misses exactly the subsets
     not contained in the image."""
-    for f in mappings(bound):
-        if _inj_direct(f):
-            ok = _missed_mask(direct_image_map(f)) == _tilde_missed_expected(f)
-            yield None if ok else _pair_witness(f)
+    # Only the injective mappings are instances.
+    if m.inj_direct:
+        ok = _missed_mask(m.tilde) == _tilde_missed_expected(m.f)
+        yield None if ok else _pair_witness(m.f)
 
 
 @claim("3.58-3.61", POWERSETS)
@@ -857,7 +861,7 @@ def _valid_morphisms(src: ChuSpace, dst: ChuSpace) -> list[ChuMorphism]:
     return found
 
 
-@claim("chu-category-laws", EXTENSIONS)
+@claim("chu-category-laws", EXTENSION_BOUND)
 def check_chu_category_laws(bound: int):
     """Identities are valid and neutral, composites of valid morphisms
     are valid, and composition is associative."""
@@ -910,20 +914,20 @@ def check_chu_category_laws(bound: int):
             yield None if ok else {"case": "associativity", "spaces": [i, j, k, l]}
 
 
-@claim("E-functoriality", EXTENSIONS)
-def check_embedding_functorial(bound: int):
+@claim("E-functoriality", EXTENSION_TRIPLES)
+def check_embedding_functorial(sizes):
     """Embedding a composite equals composing the embeddings."""
-    for nx, ny, nz in size_triples(bound):
-        y = FiniteSet(ny)
-        gs = [(g, embed(g)) for g in enumerate_mappings(y, FiniteSet(nz))]
-        for f in enumerate_mappings(FiniteSet(nx), y):
-            ef = embed(f)
-            for g, eg in gs:
-                ok = embed(f.then(g)) == compose(ef, eg)
-                yield None if ok else _composite_witness(f, g)
+    nx, ny, nz = sizes
+    y = FiniteSet(ny)
+    gs = [(g, embed(g)) for g in enumerate_mappings(y, FiniteSet(nz))]
+    for f in enumerate_mappings(FiniteSet(nx), y):
+        ef = embed(f)
+        for g, eg in gs:
+            ok = embed(f.then(g)) == compose(ef, eg)
+            yield None if ok else _composite_witness(f, g)
 
 
-@claim("E-faithfulness", EXTENSIONS)
+@claim("E-faithfulness", EXTENSION_BOUND)
 def check_embedding_faithful(bound: int):
     """Distinct mappings embed to distinct morphisms."""
     # Equal morphisms have equal carriers, so one table serves every signature.
@@ -949,7 +953,7 @@ def check_embedding_full(m: MappingFacts):
     return None if ok else _pair_witness(f)
 
 
-@claim("3.11-3.14", POWERSETS)
+@claim("3.11-3.14", POWERSET_BOUND)
 def check_evaluation_deviation(bound: int):
     """The evaluation matrix misses nothing and its kernel has exactly
     the member and non-member blocks, each of half the pairs."""
@@ -969,7 +973,7 @@ def check_evaluation_deviation(bound: int):
         yield None if ok else {"size": n}
 
 
-@claim("3.5-composition-order", TRIPLES, VERDICT_REFUTED)
+@claim("3.5-composition-order", TRIPLE_BOUND, VERDICT_REFUTED)
 def check_composition_reading(bound: int):
     """The printed composition order for forward parts only typechecks when
     the end carriers coincide; composition must chain diagrammatically.

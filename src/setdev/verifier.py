@@ -3,32 +3,30 @@
 Every structural law of the deviation calculus is registered with ``@claim``
 under a stable id, with the domain it sweeps and the verdict it is expected
 to produce, on a check whose docstring states the law. A domain names the
-``Universe`` field bounding the sweep, an optional cap below it and, for
-predicates, the enumeration of its elements. ``check_claim`` resolves the
-bound once and runs the sweep: a predicate over each element (None when it
-passes, else a witness), or a generator over the bound that yields one such
-item per instance and may return a verdict to replace the default for a
-sweep without a witness.
+``Universe`` field bounding the sweep, an optional cap below it and the
+enumeration of its elements, if any. ``check_claim`` resolves the bound once
+and calls the check with each element in order, or once with the bound when
+the domain has no elements. Each call returns one item or a generator of
+items. ``None`` is one passing instance and a non-negative ``int`` that many
+(the test is ``type(item) is int``, so a bool is a witness like any other).
+Anything else is the witness: it counts as one instance and ends the claim.
+The value the last generator returns, if not None, replaces the default
+verdict of a sweep without a witness.
 
-``check_claim`` counts the items (the one carrying the witness included)
-and stops at the first witness. A generator may also yield a non-negative
-``int``, read as that many passing instances at once; the test is
-``type(item) is int``, so a bool is a witness like any other. A claim
-expecting a counterexample reports counterexample-found-as-required with a
-witness and skipped without one; any other reports refuted-as-stated or
-verified. Enumeration order is fixed (sizes by total, then lexicographic),
-so for a fixed universe two runs produce identical reports and reported
-witnesses are minimal for their claim.
+A claim expecting a counterexample reports counterexample-found-as-required
+with a witness and skipped without one; any other reports refuted-as-stated
+or verified. Enumeration order is fixed (sizes by total, then
+lexicographic), so for a fixed universe two runs produce identical reports
+and reported witnesses are minimal for their claim.
 
 Inside ``together(claims, universe)``, as ``check_all`` and ``verify`` run
-it, the predicate claims with one domain and one resolved bound form a
-group: the first ``check_claim`` of a group enumerates the domain once and
-hands each element to every claim of the group without a witness yet, in
-selection order, and the later calls return the reports it stored. So the
-facts an element carries (``claims.MappingFacts`` on the powerset domains)
-are computed once for all the claims reading them and dropped with it. A
-predicate's time is that of its own calls, facts it was first to read
-included.
+it, the claims with one domain and one resolved bound form a group: the
+first ``check_claim`` of a group enumerates the domain once and hands each
+element to every claim of the group without a witness yet, in selection
+order, and the later calls return the reports it stored. So the facts an
+element carries (``claims.MappingFacts`` on the powerset domains) are
+computed once for all the claims reading them and dropped with it. A
+claim's time is that of its own calls, facts it was first to read included.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product
-from inspect import isgeneratorfunction
+from types import GeneratorType
 from typing import Callable, Iterable, Iterator
 
 from .finset import FiniteSet, Mapping, _mapping
@@ -74,7 +72,7 @@ class Universe:
 @dataclass(frozen=True)
 class Domain:
     """What a claim sweeps: the Universe field bounding it, lowered to cap
-    when one is given, and the elements a predicate is run on, if any."""
+    when one is given, and the elements its check is called with, if any."""
 
     bounded_by: str
     cap: int | None = None
@@ -92,7 +90,7 @@ class Claim:
     id: str
     domain: Domain
     expected: str
-    # A predicate over one element, or a generator over the resolved bound.
+    # Called with each element, or the bound: returns an item or a generator of items.
     check: Callable = field(compare=False, repr=False)
 
 
@@ -113,7 +111,7 @@ REGISTRY: dict[str, Claim] = {}
 
 
 def claim(claim_id: str, domain: Domain, expected: str = VERDICT_VERIFIED) -> Callable:
-    """Register the decorated predicate or generator as the check of claim ``claim_id``."""
+    """Register the decorated function as the check of claim ``claim_id``."""
     if expected not in VERDICTS:
         raise ValueError(f"unknown expected verdict {expected}")
 
@@ -164,21 +162,20 @@ def registry() -> dict[str, Claim]:
     return REGISTRY
 
 
-# Inside together(): (claim id, universe) -> the group of predicate claims
-# to sweep it with, then its report or error once the group is swept. The
+# Inside together(): (claim id, universe) -> the group of claims to sweep it
+# with, then its report or error once the group is swept. The
 # CLI and the benchmark call check_claim(claim, universe) per claim.
 _planned: dict = {}
 
 
 @contextmanager
 def together(claims: Iterable[Claim], universe: Universe) -> Iterator[None]:
-    """Within the block, check_claim sweeps the predicate claims among these
-    with one domain and resolved bound once, as a group."""
+    """Within the block, check_claim sweeps the claims among these with one
+    domain and resolved bound once, as a group."""
     groups: dict = {}
     for c in claims:
-        if not isgeneratorfunction(c.check):
-            _planned[c.id, universe] = group = groups.setdefault((c.domain, c.domain.bound(universe)), [])
-            group.append(c)
+        _planned[c.id, universe] = group = groups.setdefault((c.domain, c.domain.bound(universe)), [])
+        group.append(c)
     try:
         yield
     finally:
@@ -196,63 +193,58 @@ def check_claim(claim: Claim | str, universe: Universe) -> Report:
         if claim not in reg:
             raise KeyError(f"unknown claim id: {claim}")
         claim = reg[claim]
-    n = claim.domain.bound(universe)
     found = _planned.pop((claim.id, universe), [claim])
-    if isgeneratorfunction(claim.check):
-        return _run_generator(claim, n)
     if isinstance(found, list):
-        _run_predicates(found, n, universe)
+        _sweep(found, claim.domain.bound(universe), universe)
         found = _planned.pop((claim.id, universe))
     if isinstance(found, Exception):
         raise found
     return found
 
 
-def _run_generator(claim: Claim, n: int) -> Report:
-    start = time.perf_counter()
-    sweep = claim.check(n)
-    instances, verdict = 0, None
-    try:
-        while True:
-            while (witness := next(sweep)) is None:
-                instances += 1
-            if type(witness) is not int:
-                break
-            if witness < 0:
-                raise AssertionError(f"claim {claim.id} yielded a negative count {witness}")
-            instances += witness
-        instances += 1
-        sweep.close()
-    except StopIteration as end:
-        # A generator may return a verdict to replace the default of a
-        # sweep that found no witness.
-        witness, verdict = None, end.value
-    return _report(claim, witness, instances, time.perf_counter() - start, verdict)
-
-
-def _run_predicates(claims: list[Claim], n: int, universe: Universe) -> None:
+def _sweep(claims: list[Claim], n: int, universe: Universe) -> None:
     """Hand each element of the claims' domain to every claim without a
     witness or an error yet, in order, and plan each claim's report or error."""
     clock = time.perf_counter
-    # Per claim: its check, instances, seconds and witness or error.
-    active = [[c.check, 0, 0.0, None] for c in claims]
+    # Per claim: the claim, instances, seconds, witness or error, returned verdict.
+    active = [[c, 0, 0.0, None, None] for c in claims]
     runs = list(active)
-    for x in claims[0].domain.elements(n):
+    domain = claims[0].domain
+    for x in domain.elements(n) if domain.elements else (n,):
         for run in active:
             start = clock()
             try:
-                run[3] = run[0](x)
+                item = run[0].check(x)
+                if item is None:
+                    run[1] += 1
+                else:
+                    _count(run, item if type(item) is GeneratorType else iter((item,)))
             except Exception as error:
                 # Raised by the claim's own check_claim call, as when it runs
                 # alone; the other claims sweep on.
                 run[3] = error
             run[2] += clock() - start
-            run[1] += 1
         active = [run for run in active if run[3] is None]
         if not active:
             break
-    for c, (_, instances, seconds, found) in zip(claims, runs):
-        _planned[c.id, universe] = found if isinstance(found, Exception) else _report(c, found, instances, seconds)
+    for c, (_, instances, seconds, found, verdict) in zip(claims, runs):
+        _planned[c.id, universe] = found if isinstance(found, Exception) else _report(c, found, instances, seconds, verdict)
+
+
+def _count(run: list, items: Iterator) -> None:
+    """Count items into run up to the witness, and keep a generator's return value."""
+    try:
+        while run[3] is None:
+            item = next(items)
+            if type(item) is not int:
+                run[1] += 1
+                run[3] = item  # None passes, anything else is the witness
+            elif item < 0:
+                raise AssertionError(f"claim {run[0].id} gave a negative count {item}")
+            else:
+                run[1] += item
+    except StopIteration as end:
+        run[4] = end.value
 
 
 def _report(claim: Claim, witness: object, instances: int, seconds: float, verdict: str | None = None) -> Report:

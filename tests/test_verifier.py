@@ -8,7 +8,7 @@ import sys
 from itertools import product
 from math import gcd, prod
 from pathlib import Path
-from types import FunctionType
+from types import FunctionType, GeneratorType
 
 import pytest
 
@@ -83,26 +83,61 @@ def test_claim_refuses_an_unknown_expected_verdict():
     assert "x" not in REGISTRY
 
 
+# A domain without elements: its check is called once, with the bound.
+_BOUND_ONLY = verifier.Domain("max_set_size")
+# Signatures (nx, ny) up to max_set_size: 9 of them at SMALL.
+_PAIRS = verifier.Domain("max_set_size", elements=verifier.size_pairs)
+
+
 def _yielding(*items):
     """An unregistered claim whose sweep yields items."""
 
     def sweep(bound):
         yield from items
 
-    return verifier.Claim("counted", claims.SETS, VERDICT_VERIFIED, sweep)
+    return verifier.Claim("counted", _BOUND_ONLY, VERDICT_VERIFIED, sweep)
+
+
+def _returning(domain, result):
+    """An unregistered claim whose check returns result(element)."""
+    return verifier.Claim("returned", domain, VERDICT_VERIFIED, result)
 
 
 def test_count_items_add_that_many_instances():
     witness = {"case": "third"}
-    report = check_claim(_yielding(3, None, witness), SMALL)
-    assert (report.verdict, report.witness, report.instances) == (VERDICT_REFUTED, witness, 5)
-    report = check_claim(_yielding(2, 0), SMALL)
-    assert (report.verdict, report.witness, report.instances) == (VERDICT_VERIFIED, None, 2)
+    assert _outcome(_yielding(3, None, witness), SMALL) == (VERDICT_REFUTED, witness, 5)
+    assert _outcome(_yielding(2, 0), SMALL) == (VERDICT_VERIFIED, None, 2)
+    # A plain check's count is that many passes too, once per element.
+    assert _outcome(_returning(_BOUND_ONLY, lambda bound: 7), SMALL) == (VERDICT_VERIFIED, None, 7)
+    assert _outcome(_returning(_PAIRS, lambda sizes: 2), SMALL) == (VERDICT_VERIFIED, None, 18)
+
+
+def test_generator_items_add_up_across_elements():
+    def sweep(sizes):
+        yield 2
+        yield None
+        if sizes == (1, 1):
+            # The fifth signature, after four that count 2 + 1 + 5 each.
+            yield 1
+            yield {"at": list(sizes)}
+        yield 5
+
+    witness = {"at": [1, 1]}
+    lying = verifier.Claim("summed", _PAIRS, VERDICT_VERIFIED, sweep)
+    assert _outcome(lying, SMALL) == (VERDICT_REFUTED, witness, 4 * 8 + 2 + 1 + 1 + 1)
+    honest = verifier.Claim("summed", _PAIRS, VERDICT_VERIFIED, lambda sizes: (item for item in (2, None)))
+    assert _outcome(honest, SMALL) == (VERDICT_VERIFIED, None, 9 * 3)
 
 
 def test_negative_count_is_refused():
-    with pytest.raises(AssertionError, match="negative count"):
-        check_claim(_yielding(1, -1), SMALL)
+    # Yielded or returned, at the first element or a later one.
+    for negative in (
+        _yielding(1, -1),
+        _returning(_BOUND_ONLY, lambda bound: -1),
+        _returning(_PAIRS, lambda sizes: -sizes[0]),
+    ):
+        with pytest.raises(AssertionError, match="negative count"):
+            check_claim(negative, SMALL)
 
 
 def test_bool_item_is_a_witness_not_a_count():
@@ -222,14 +257,38 @@ def test_shared_sweeps_print_the_claim_by_claim_bytes(capsys, universe, claim_id
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
-def _powerset_predicates():
-    return [c for c in REGISTRY.values() if c.domain is claims.POWERSETS and not inspect.isgeneratorfunction(c.check)]
+def _key(element):
+    """An element as it compares: a MappingFacts by its mapping."""
+    return element.f if isinstance(element, claims.MappingFacts) else element
+
+
+def test_every_check_receives_its_domain_in_order():
+    # The contract: a check is called with each element of its domain in
+    # enumeration order until its witness, or once with the bound when the
+    # domain has no elements.
+    for c in REGISTRY.values():
+        received = []
+
+        def check(x, check=c.check):
+            received.append(x)
+            return check(x)
+
+        report = check_claim(verifier.Claim(c.id, c.domain, c.expected, check), SMALL)
+        n = c.domain.bound(SMALL)
+        expected = [_key(x) for x in c.domain.elements(n)] if c.domain.elements else [n]
+        keys = [_key(x) for x in received]
+        if report.witness is None:
+            assert keys == expected, c.id
+        else:
+            assert keys == expected[: len(keys)], c.id
+            # The last element handed over is the one whose items hold the witness.
+            items = c.check(received[-1])
+            assert report.witness in (list(items) if type(items) is GeneratorType else [items]), c.id
 
 
 def test_shared_sweep_builds_each_fact_once_per_mapping(monkeypatch):
-    selected = _powerset_predicates()
-    assert [c.id for c in selected] == ["L3.1", "L3.2", "3.29-3.30", "L3.3a", "L3.3b", "3.58-3.61"]
-    calls = dict.fromkeys(["preimage_map", "direct_image_map", "kappa", "restrict_preimage_to_image"], 0)
+    names = ["preimage_map", "direct_image_map", "kappa", "restrict_preimage_to_image"]
+    calls = dict.fromkeys(names, 0)
 
     def counting(name, honest):
         def count(*args):
@@ -241,11 +300,20 @@ def test_shared_sweep_builds_each_fact_once_per_mapping(monkeypatch):
     for name in calls:
         monkeypatch.setattr(claims, name, counting(name, getattr(claims, name)))
     universe = Universe(max_powerset_base=4)
-    with verifier.together(selected, universe):
-        reports = [check_claim(c, universe) for c in selected]
-    assert {r.verdict for r in reports} == {VERDICT_VERIFIED}
-    # One call per mapping between carriers of size at most 4.
-    assert calls == dict.fromkeys(calls, _mapping_count(4))
+    # Each fact a claim of the domain reads is built once per mapping: 499
+    # mappings between carriers of size at most 4, 60 at the extension cap 3.
+    for domain, ids, built in [
+        (claims.POWERSETS, ["3.18", "L3.1", "L3.2", "3.29-3.30", "L3.3a", "L3.3b", "3.58-3.61"], names),
+        (claims.EXTENSIONS, ["T3.1", "T3.2", "T3.3", "3.44-literal", "3.44-computed", "E-fullness"], names[:2]),
+    ]:
+        selected = [c for c in REGISTRY.values() if c.domain is domain]
+        assert [c.id for c in selected] == ids
+        calls.update(dict.fromkeys(names, 0))
+        with verifier.together(selected, universe):
+            reports = [check_claim(c, universe) for c in selected]
+        assert [r.ok() for r in reports] == [True] * len(ids)
+        count = _mapping_count(domain.bound(universe))
+        assert calls == {name: count if name in built else 0 for name in names}
 
 
 def test_shared_sweep_hands_each_claim_its_own_elements_and_stops_it_at_its_witness():
@@ -267,22 +335,20 @@ def test_shared_sweep_hands_each_claim_its_own_elements_and_stops_it_at_its_witn
     assert second.verdict == VERDICT_VERIFIED and second.elapsed_ms > 0
 
 
-_SHARED_DOMAINS = (claims.POWERSETS, claims.EXTENSIONS)
+def _sharing(claim_id):
+    """The other claims declared on the domain of claim_id, in registry order."""
+    domain = REGISTRY[claim_id].domain
+    return [c for c in REGISTRY.values() if c.domain == domain and c.id != claim_id]
 
 
-@pytest.mark.parametrize("row", [key for key, row in MUTATION_ROWS.items() if REGISTRY[row[0]].domain in _SHARED_DOMAINS])
+@pytest.mark.parametrize("row", [key for key, row in MUTATION_ROWS.items() if _sharing(row[0])])
 def test_shared_sweep_refutes_the_same_lie(monkeypatch, row):
     # A planted-fault row of test_mutations.py with its claim swept together
-    # with every predicate claim of its domain: it reports the pinned witness
-    # and count, and each other claim reports what it reports alone.
+    # with every other claim of its domain: it reports the pinned witness and
+    # count, and each other claim reports what it reports alone.
     claim_id, name, lied_about, answer, universe, witness, instances = MUTATION_ROWS[row]
     _lie(monkeypatch, name, lied_about, answer)
-    lied_to = REGISTRY[claim_id]
-    selected = [lied_to] + [
-        c
-        for c in REGISTRY.values()
-        if c.domain is lied_to.domain and c is not lied_to and not inspect.isgeneratorfunction(c.check)
-    ]
+    selected = [REGISTRY[claim_id]] + _sharing(claim_id)
     with verifier.together(selected, universe):
         shared = [_outcome(c, universe) for c in selected]
     assert shared[0] == (VERDICT_REFUTED, witness, instances)
