@@ -42,7 +42,7 @@ from functools import cached_property, lru_cache
 from itertools import product, zip_longest
 from math import gcd, prod
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 MAX_HOM_ORDER = 16
 MAX_ORACLE_ORDER = 64
@@ -113,8 +113,10 @@ def _shared_group(factors: tuple[int, ...]) -> FinAbGroup:
     return FinAbGroup(factors)
 
 
-def _from_prime_powers(parts: Iterable[list[int]]) -> FinAbGroup:
+def _from_prime_powers(parts: list[list[int]]) -> FinAbGroup:
     """The group whose elementary divisors are given, one list per prime."""
+    if len(parts) == 1:
+        return _shared_group(tuple(sorted(parts[0])))
     # Align each prime's powers largest-first and multiply columns.
     columns = zip_longest(*(sorted(powers, reverse=True) for powers in parts), fillvalue=1)
     return _shared_group(tuple(reversed([prod(column) for column in columns])))
@@ -214,13 +216,19 @@ def smith_normal_form(mat: Sequence[Sequence[int]], p: int, e: int) -> list[int]
     modulo its column span, is the sum of the Z/p^v, and the column span
     itself the sum of the Z/p^(e - v).
 
-    Each pivot is an entry of least valuation, p^v times a unit, first in
-    row-major order, so every other entry is a multiple of p^v and clearing
-    the pivot's column only multiplies by the unit's inverse: no remainder
+    One row or one column has rank at most one: its form is the gcd of its
+    entries with p^e, with p^e for every further row. Otherwise each pivot
+    is an entry of least valuation, p^v times a unit, first in row-major
+    order, so every other entry is a multiple of p^v and clearing the
+    pivot's column only multiplies by the unit's inverse: no remainder
     steps, no re-pivoting. Clearing the pivot's row would change nothing
     else, so the row is dropped instead. Transforms are not kept.
     """
     q = p**e
+    if len(mat) == 1:
+        return [gcd(q, *mat[0])]
+    if mat and len(mat[0]) == 1:
+        return [gcd(q, *[row[0] for row in mat])] + [q] * (len(mat) - 1)
     rows = [[x % q for x in row] for row in mat]
     out: list[int] = []
     while rows:
@@ -243,14 +251,19 @@ def smith_normal_form(mat: Sequence[Sequence[int]], p: int, e: int) -> list[int]
     return out + [q] * (len(mat) - len(out))
 
 
-def _prime_parts(group: FinAbGroup, p: int) -> tuple[int, int, list[int]]:
-    """e, q = p^e and the p-parts p^beta_i of the factors, for p dividing the order.
-
-    The last factor is divisible by all others, so it has the largest p-part.
-    """
-    e = _valuation(group.factors[-1], p)
+@lru_cache(maxsize=256)
+def _layout(cod: FinAbGroup, p: int) -> tuple[int, int, tuple[tuple[int, int, tuple[int, ...]], ...]]:
+    """The local set-up of cod at a prime p dividing its order: e, q = p^e
+    and, for each row i whose factor has p-part r > 1, (i, devg1's scale
+    q // r, devg2's relation columns). p-parts ascend along the chain, so the
+    rows with r < q come first, each with r in a relation column of its own;
+    r = q is 0 mod q and needs none."""
+    e = _valuation(cod.factors[-1], p)
     q = p**e
-    return e, q, [gcd(b, q) for b in group.factors]
+    kept = [(i, r) for i, b in enumerate(cod.factors) if (r := gcd(b, q)) > 1]
+    n = sum(r < q for _, r in kept)
+    rows = [(i, q // r, tuple([r if k == j else 0 for k in range(n)])) for j, (i, r) in enumerate(kept)]
+    return e, q, tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -258,14 +271,15 @@ def devg1(f: GroupHom) -> FinAbGroup:
     """Invariant factors of dom(f) / ker(f), computed as those of image(f).
 
     At a prime p, the p-part of image(f) is spanned by the columns of M in
-    the sum of the Z/p^beta_i, which row i embeds in Z/p^e by p^(e - beta_i).
-    The span of the scaled columns has invariants p^e / d for each
-    diagonal entry d < p^e of their local Smith form.
+    the sum of the Z/p^beta_i, which row i embeds in Z/p^e by its layout
+    scale p^(e - beta_i), read from _layout(cod(f), p). The span of the
+    scaled columns has invariants p^e / d for each diagonal entry d < p^e of
+    their local Smith form.
     """
     parts = []
     for p in _factorint(gcd(f.dom.order(), f.cod.order()), MAX_TRIAL_DIVISOR):
-        e, q, powers = _prime_parts(f.cod, p)
-        span = [[x * (q // r) for x in row] for row, r in zip(f.matrix, powers) if r > 1]
+        e, q, layout = _layout(f.cod, p)
+        span = [[x * scale for x in f.matrix[i]] for i, scale, _ in layout]
         parts.append([q // d for d in smith_normal_form(span, p, e) if d < q])
     return _from_prime_powers(parts)
 
@@ -275,20 +289,13 @@ def devg2(f: GroupHom) -> FinAbGroup:
     """Invariant factors of the cokernel cod(f) / image(f).
 
     At a prime p, the p-part of the cokernel is presented by [M | diag(p^beta_i)]
-    over the rows with beta_i > 0, and its invariants are the diagonal
-    entries d > 1 of that matrix's local Smith form.
+    over the rows of _layout(cod(f), p), and its invariants are the
+    diagonal entries d > 1 of that matrix's local Smith form.
     """
     parts = []
     for p in _factorint(f.cod.order(), MAX_TRIAL_DIVISOR):
-        e, q, powers = _prime_parts(f.cod, p)
-        # p-parts ascend along the chain, so the kept rows with p^beta_i < p^e come
-        # first; each gets a relation column, and p^beta_i = p^e is 0 mod p^e.
-        kept = [(row, r) for row, r in zip(f.matrix, powers) if r > 1]
-        n = sum(r < q for _, r in kept)
-        block = [
-            row + (0,) * j + (r,) + (0,) * (n - j - 1) if r < q else row + (0,) * n
-            for j, (row, r) in enumerate(kept)
-        ]
+        e, q, layout = _layout(f.cod, p)
+        block = [f.matrix[i] + relations for i, _, relations in layout]
         parts.append([d for d in smith_normal_form(block, p, e) if d > 1])
     return _from_prime_powers(parts)
 
@@ -311,7 +318,7 @@ def kernel_mask(values: bytes) -> int:
 
 def image_mask(values: bytes) -> int:
     """Bitmask of the codes that occur in values."""
-    return sum(1 << y for y in set(values))
+    return sum(map((1).__lshift__, set(values)))
 
 
 class CodedGroup:
@@ -583,5 +590,5 @@ def enumerate_groups(max_order: int) -> tuple[FinAbGroup, ...]:
         primes = _factorint(n)
         parts = [list(_partitions_of(e)) for e in primes.values()]
         for choice in product(*parts):
-            groups.append(_from_prime_powers([p**x for x in part] for p, part in zip(primes, choice)))
+            groups.append(_from_prime_powers([[p**x for x in part] for p, part in zip(primes, choice)]))
     return tuple(sorted(groups, key=lambda g: (g.order(), g.factors)))

@@ -4,7 +4,7 @@ from itertools import combinations, product
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from setdev.abgroup import (
     MAX_HOM_ORDER,
@@ -27,6 +27,7 @@ from setdev.abgroup import (
     image_mask,
     kernel_mask,
     smith_normal_form,
+    _shared_group,
 )
 
 
@@ -196,8 +197,9 @@ def test_snf_empty_matrix():
 
 @st.composite
 def int_matrices(draw, max_dim=4, max_entry=9):
-    nrows = draw(st.integers(min_value=1, max_value=max_dim))
-    ncols = draw(st.integers(min_value=1, max_value=max_dim))
+    # Empty shapes included; one row and one column take smith_normal_form's closed forms.
+    nrows = draw(st.integers(min_value=0, max_value=max_dim))
+    ncols = draw(st.integers(min_value=0, max_value=max_dim))
     return [
         [draw(st.integers(min_value=-max_entry, max_value=max_entry)) for _ in range(ncols)]
         for _ in range(nrows)
@@ -206,6 +208,11 @@ def int_matrices(draw, max_dim=4, max_entry=9):
 
 @settings(max_examples=150)
 @given(int_matrices(), st.sampled_from([2, 3, 5]), st.integers(min_value=1, max_value=4))
+@example([], 2, 1)
+@example([[]], 3, 2)
+@example([[], []], 5, 1)
+@example([[4, -6, 12]], 2, 3)
+@example([[6], [-3], [0]], 3, 2)
 def test_snf_properties(rows, p, e):
     # Certificate independent of the elimination: each diagonal entry is
     # pinned by the gcds of the integer matrix's minors.
@@ -213,6 +220,17 @@ def test_snf_properties(rows, p, e):
     assert diag == sorted(diag)
     assert all(d in [p**v for v in range(e + 1)] for d in diag)
     assert diag == _minor_diagonal(rows, p, e)
+
+
+def test_snf_rank_one_closed_forms_match_minors():
+    # Every one-row and one-column matrix with entries mod q = p^e, the shapes
+    # smith_normal_form answers by a gcd without elimination.
+    for p, e in product([2, 3], [1, 2]):
+        q = p**e
+        for k, m in [(1, 1), (1, 2), (1, 3), (2, 1), (3, 1)]:
+            for flat in product(range(q), repeat=k * m):
+                rows = [list(flat[i * m : (i + 1) * m]) for i in range(k)]
+                assert smith_normal_form(rows, p, e) == _minor_diagonal(rows, p, e), (rows, p, e)
 
 
 # --- hom validation and enumeration --------------------------------------------
@@ -321,6 +339,11 @@ def test_devg_factoring_is_bounded():
     )
     z = FinAbGroup((3 * 1000003,))
     assert devg(GroupHom(z, z, ((3,),))) == GroupDeviation(FinAbGroup((1000003,)), FinAbGroup((3,)))
+    # Here gcd(|dom|, |cod|) = 1, so only devg2 meets the two primes above the bound.
+    zero = GroupHom(FinAbGroup((2,)), FinAbGroup((1000003 * 1000033,)), ((0,),))
+    assert devg1(zero) == TRIVIAL_GROUP
+    with pytest.raises(ValueError, match=f"no prime factor up to {MAX_TRIAL_DIVISOR}"):
+        devg2(zero)
 
 
 def test_devg_oracle_agreement_small():
@@ -330,6 +353,18 @@ def test_devg_oracle_agreement_small():
             for f in enumerate_homs(a, b):
                 assert devg1(f) == devg1_oracle(f), f
                 assert devg2(f) == devg2_oracle(f), f
+
+
+def test_devg_results_are_shared_groups():
+    # One object per isomorphism class, whether one prime or several build it.
+    prime_counts = set()
+    groups = enumerate_groups(12)
+    for a, b in product(groups, repeat=2):
+        for f in enumerate_homs(a, b):
+            for g in (devg1(f), devg2(f)):
+                assert g is _shared_group(g.factors), f
+                prime_counts.add(sum(g.order() % p == 0 for p in (2, 3, 5, 7, 11)))
+    assert {1, 2} <= prime_counts
 
 
 def test_devg_leq_examples():
