@@ -22,9 +22,9 @@ mapping. No claim reads both sides of a cross-check from one fact.
 from __future__ import annotations
 
 import random
-from functools import cached_property
-from itertools import product
-from typing import Iterator
+from functools import cached_property, partial
+from itertools import count, product, repeat
+from typing import Callable, Iterable, Iterator
 
 from .abgroup import (
     MAX_HOM_ORDER,
@@ -221,17 +221,52 @@ def _composite_witness(f: Mapping, g: Mapping) -> dict:
     return {"sizes": [f.dom.size, f.cod.size, g.cod.size], "f": f.to_json_dict(), "g": g.to_json_dict()}
 
 
-def _lookup(g: Mapping) -> bytes:
-    """g's table as a 256-byte translation: bytes(f.table).translate(_lookup(g)) is f.then(g)'s table."""
-    return bytes(g.table).ljust(256, b"\0")
-
-
 def _composite(f: Mapping, g: Mapping, table: bytes) -> Mapping:
     """f.then(g), checked against the table read off by lookup."""
     h = f.then(g)
     if bytes(h.table) != table:
         raise AssertionError("composite disagrees with its table lookup")
     return h
+
+
+_KEPT = bytes(range(128, 256))  # padding and tags in a word of _pair_sweep
+
+
+def _words(codes: Iterable[bytes], tags: Iterable[int], n: int) -> tuple[bytes, int]:
+    """The words of _pair_sweep, joined, and their width, the least power of
+    two above n. A word is an inner map's n codes, padding, then the byte
+    128 + its tag; codes and tags are below 128."""
+    width = 1 << n.bit_length()
+    return b"".join(c.ljust(width - 1, b"\x80") + bytes((128 + t,)) for c, t in zip(codes, tags)), width
+
+
+def _pair_sweep(words: bytes, width: int, rows: Iterable, judge: Callable, witness: Callable) -> Iterator:
+    """Check every pair of inner map i, word i of words, with the outer map
+    of each row (context, table, passed). The table takes inner codes to
+    outer ones, with one length, at most 128, in every row; a pair's key is
+    its word translated through it, bytes from 128 up kept. A row whose
+    keys are all in passed is counted at once; otherwise its pairs are
+    walked in order, and a key not in passed is judged, by judge(context,
+    i, its word), and joins passed if judge returns a false value. Yields
+    the number of pairs that passed, or at the first failing pair i the
+    number before it, then witness(context, i, what judge returned)."""
+    fmt = "BHIQ"[width.bit_length() - 1]  # the memoryview format of a word
+    total, rest = 0, b""
+    for context, table, passed in rows:
+        rest = rest or bytes(128 - len(table)) + _KEPT
+        packed = words.translate(table + rest)
+        keys = memoryview(packed).cast(fmt)
+        if not passed.issuperset(keys):
+            for i, key in enumerate(keys):
+                if key not in passed:
+                    failure = judge(context, i, packed[i * width : i * width + width])
+                    if failure:
+                        yield total + i
+                        yield witness(context, i, failure)
+                        return
+                    passed.add(key)
+        total += len(keys)
+    yield total
 
 
 def _image_subsets(img: int) -> list[int]:
@@ -314,18 +349,22 @@ def check_least_deviation(sizes):
     x, y = FiniteSet(sizes[0]), FiniteSet(sizes[1])
     full = (1 << y.size) - 1
     least = Deviation(discrete(x), y, 0)
-    # One pass keeps the distinct deviations and two flags per mapping,
-    # not the mappings; a second pass re-enumerates them in order.
-    devs = set()
-    bijective, at_least = [], []
-    for f in enumerate_mappings(x, y):
+    # Unless the least deviation lies below every other, a mapping fails iff it
+    # is bijective, and otherwise iff it is bijective or at the least but not
+    # both. One pass keeps the deviations and the first failure in each case.
+    devs, at, first_bijective, first_off_least = set(), -1, None, None
+    for at, f in enumerate(enumerate_mappings(x, y)):
         part, img = kernel_partition(f), image(f)
         devs.add(Deviation(part, y, full ^ img))
-        bijective.append(_inj_direct(f) and _surj_direct(f))
-        at_least.append(part == least.part and img == full)
-    least_is_below_all = all(deviation_leq(least, d) for d in devs)
-    for f, bij, is_at in zip(enumerate_mappings(x, y), bijective, at_least):
-        yield None if bij == (is_at and least_is_below_all) else _pair_witness(f)
+        bij = _inj_direct(f) and _surj_direct(f)
+        if bij and first_bijective is None:
+            first_bijective = at, f
+        if bij != (part == least.part and img == full) and first_off_least is None:
+            first_off_least = at, f
+    failed = first_off_least if all(deviation_leq(least, d) for d in devs) else first_bijective
+    yield at + 1 if failed is None else failed[0]
+    if failed:
+        yield _pair_witness(failed[1])
 
 
 @claim("T1.1", TRIPLES)
@@ -335,39 +374,28 @@ def check_dev1_monotone(sizes):
     nx, ny, nz = sizes
     y = FiniteSet(ny)
     fs = list(enumerate_mappings(FiniteSet(nx), y))
-    f_tables = [bytes(f.table) for f in fs]
-    # Kernel partitions are interned per signature as ids in order of first
-    # sighting, each distinct composite table gets its kernel's id once, and
-    # partition_leq runs once per pair of ids. Each id of an inner kernel
-    # keeps the verdicts by composite table.
+    # Per triple, kernel partitions are interned as ids, which tag the inner
+    # words, and the keys that passed are kept. Each distinct composite table
+    # gets its kernel's id once, and partition_leq runs once per pair of ids.
     ids: dict[Partition, int] = {}
-    f_ids = [ids.setdefault(kernel_partition(f), len(ids)) for f in fs]
-    verdicts = [{} for _ in ids]
-    f_verdicts = [verdicts[i] for i in f_ids]
+    tags = [ids.setdefault(kernel_partition(f), len(ids)) for f in fs]
+    words, width = _words([bytes(f.table) for f in fs], tags, nx)
     composite_ids: dict[bytes, int] = {}
     below: dict[tuple[int, int], bool] = {}
-    # One count per outer g; a failing pair yields the count before it, then
-    # its witness.
-    for g in enumerate_mappings(y, FiniteSet(nz)):
-        lookup = _lookup(g)
-        for at, (f, f_table, i, known) in enumerate(zip(fs, f_tables, f_ids, f_verdicts)):
-            table = f_table.translate(lookup)
-            ok = known.get(table)
-            if ok is None:
-                j = composite_ids.get(table)
-                if j is None:
-                    part = kernel_partition(_composite(f, g, table))
-                    j = composite_ids[table] = ids.setdefault(part, len(ids))
-                ok = below.get((i, j))
-                if ok is None:
-                    parts = list(ids)
-                    ok = below[i, j] = partition_leq(parts[i], parts[j])
-                known[table] = ok
-            if not ok:
-                yield at
-                yield _composite_witness(f, g)
-                return
-        yield len(fs)
+
+    def judge(g: Mapping, i: int, word: bytes) -> bool:
+        table = word[:nx]
+        if table not in composite_ids:
+            composite_ids[table] = ids.setdefault(kernel_partition(_composite(fs[i], g, table)), len(ids))
+        pair = word[-1] - 128, composite_ids[table]
+        if pair not in below:
+            parts = list(ids)
+            below[pair] = partition_leq(parts[pair[0]], parts[pair[1]])
+        return not below[pair]
+
+    passed: set[int] = set()
+    rows = ((g, bytes(g.table), passed) for g in enumerate_mappings(y, FiniteSet(nz)))
+    yield from _pair_sweep(words, width, rows, judge, lambda g, i, _: _composite_witness(fs[i], g))
 
 
 @claim("1.12", TRIPLES)
@@ -377,22 +405,20 @@ def check_dev2_outer(sizes):
     nx, ny, nz = sizes
     y = FiniteSet(ny)
     fs = list(enumerate_mappings(FiniteSet(nx), y))
-    f_tables = [bytes(f.table) for f in fs]
+    words, width = _words([bytes(f.table) for f in fs], repeat(0), nx)
     images: dict[bytes, int] = {}
-    # One count per outer g, as in T1.1.
-    for g in enumerate_mappings(y, FiniteSet(nz)):
-        img_g = image(g)
-        lookup = _lookup(g)
-        for at, (f, f_table) in enumerate(zip(fs, f_tables)):
-            table = f_table.translate(lookup)
-            img = images.get(table)
-            if img is None:
-                img = images[table] = image(_composite(f, g, table))
-            if img & ~img_g:
-                yield at
-                yield _composite_witness(f, g)
-                return
-        yield len(fs)
+
+    def judge(context: tuple[Mapping, int], i: int, word: bytes) -> int:
+        (g, img_g), table = context, word[:nx]
+        if table not in images:
+            images[table] = image(_composite(fs[i], g, table))
+        return images[table] & ~img_g
+
+    # A row's context is g with its image, by which the keys that passed are kept.
+    passed: dict[int, set[int]] = {}
+    contexts = ((g, image(g)) for g in enumerate_mappings(y, FiniteSet(nz)))
+    rows = ((c, bytes(c[0].table), passed.setdefault(c[1], set())) for c in contexts)
+    yield from _pair_sweep(words, width, rows, judge, lambda c, i, _: _composite_witness(fs[i], c[0]))
 
 
 @claim("T1.2-counterexample", TRIPLE_BOUND, VERDICT_COUNTEREXAMPLE)
@@ -492,11 +518,9 @@ def check_group_composition(bound: int):
     component of the outer map embeds in that of the composite."""
     # A pair (f, g) passes or fails by the generator images of f.then(g),
     # which are g's table read at f's columns, by devg1(f) and by devg2(g).
-    # Each inner map f : a -> b is packed into one word: its column codes,
-    # zero padding, then 128 + the interned index of devg1(f). Translating
-    # the words of every f through g's table, which keeps bytes >= 128,
-    # gives the keys of their pairs with g. The keys that passed are kept
-    # per (a, c, devg2(g)), and each distinct composite is built once per (a, c).
+    # So f : a -> b is a word of _pair_sweep, its column codes tagged by its
+    # interned devg1, and g : b -> c a row whose passed keys are kept per
+    # (a, c, devg2(g)). Each distinct composite is built once per (a, c).
     groups = enumerate_groups(bound)
     if any(x.order() > 128 for x in groups):
         raise ValueError("element codes must fit below 128 to be told from tags")
@@ -515,89 +539,56 @@ def check_group_composition(bound: int):
             embeds.append([embeds_in(x, y) for y in interned])
         return index[x]
 
-    def tag(x: FinAbGroup) -> bytes:
-        i = intern(x)
-        if i >= 128:
-            raise ValueError("too many distinct first deviations to tag in a byte")
-        return bytes((128 + i,))
-
     coded = [element_table(x) for x in groups]
-    # A word is the smallest power of two bytes holding a group's generators
-    # and the tag.
-    widths = [1 << len(x.factors).bit_length() for x in groups]
-    # For each hom b -> c in order: tables[b][c] holds its table over b's codes,
-    # devg2s[b][c] its interned devg2, and words[b][c] its word, all words of
-    # b -> c joined. Appending rests[b] to a table makes it a translation
-    # that keeps bytes >= 128. That is done per use: at order 8, keeping the
-    # 1,128 translations would hold about 270 KiB more.
-    tables, devg2s, words = ([[[] for _ in groups] for _ in groups] for _ in range(3))
-    rests = [bytes(128 - x.order()) + bytes(range(128, 256)) for x in groups]
+    # For the homs out of b, by codomain c, then in order: tables[b] holds
+    # their tables over b's codes, words[b] joins their words, of width
+    # widths[b] and with the column codes read off the tables, those into c
+    # from starts[b][c] on, and slots[b] holds the index of their (c,
+    # interned devg2) in pairs, by which the keys that passed are kept.
+    words, widths, index_of = [b""] * len(groups), [0] * len(groups), {}
+    tables, slots, starts = ([[] for _ in groups] for _ in range(3))
     for b, x in enumerate(groups):
-        gens, zeros = bytes(coded[b].strides), bytes(widths[b] - 1 - len(x.factors))
-        for c, code_c in enumerate(coded):
-            for f in enumerate_homs(x, groups[c]):
-                table = code_c.table(f)
-                tables[b][c].append(table)
-                words[b][c].append(gens.translate(table + rests[b]) + zeros + tag(devg1(f)))
-                devg2s[b][c].append(intern(devg2(f)))
-            words[b][c] = b"".join(words[b][c])
+        tags, starts[b] = [], [0]
+        for c, y in enumerate(groups):
+            homs = list(enumerate_homs(x, y))
+            tables[b] += [coded[c].table(f) for f in homs]
+            tags += [intern(devg1(f)) for f in homs]
+            if max(tags) >= 128:
+                raise ValueError("too many distinct first deviations to tag in a byte")
+            slots[b] += [index_of.setdefault((c, intern(devg2(f))), len(index_of)) for f in homs]
+            starts[b].append(len(tags))
+        columns = [bytes(map(t.__getitem__, coded[b].strides)) for t in tables[b]]
+        words[b], widths[b] = _words(columns, tags, len(x.factors))
+    pairs = list(index_of)
 
-    def columns_of(b: int, table: bytes) -> bytes:
-        """The column codes of the hom out of b with that table."""
-        return bytes(coded[b].strides).translate(table)
+    def factor(b: int, k: int) -> GroupHom:
+        # The k-th hom out of b, rebuilt from its word with no check repeated.
+        c, at = pairs[slots[b][k]][0], k * widths[b]
+        return _hom(groups[b], groups[c], coded[c]._matrix(words[b][at : at + len(groups[b].factors)]))
 
-    def factor(b: int, c: int, columns: bytes) -> GroupHom:
-        # The columns are read off enumerated homs b -> c, so no check is repeated.
-        return _hom(groups[b], groups[c], coded[c]._matrix(columns))
+    def judge(a: int, b: int, composites: list, k: int, i: int, word: bytes) -> str | None:
+        # composites[c][images]: interned devg1, devg2 of the composite a -> c.
+        (c, d2g), images = pairs[slots[b][k]], word[: len(groups[a].factors)]
+        if images not in composites[c]:
+            h = factor(a, starts[a][b] + i).then(factor(b, k))
+            if coded[c].columns(h) != images:
+                raise AssertionError("composite disagrees with its generator images")
+            composites[c][images] = intern(devg1(h)), intern(devg2(h))
+        d1h, d2h = composites[c][images]
+        if not embeds[d1h][word[-1] - 128]:
+            return "first"
+        return None if embeds[d2g][d2h] else "second"
 
-    for a, x in enumerate(groups):
-        n, width = len(x.factors), widths[a]
-        word = "BHIQ"[width.bit_length() - 1]  # the memoryview format of a word
-        # composites[c][images]: devg1 and devg2 of the composite a -> c with
-        # those generator images; passed[c, d2g]: the keys that passed.
-        composites = [{} for _ in groups]
-        passed: dict[tuple[int, int], set[int]] = {}
-        for b, code_b in enumerate(coded):
-            for c, code_c in enumerate(coded):
-                known, fs = composites[c], words[a][b]
-                for g_values, d2g in zip(tables[b][c], devg2s[b][c]):
-                    g_table = g_values + rests[b]
-                    packed = fs.translate(g_table)
-                    keys = memoryview(packed).cast(word)
-                    seen = passed.setdefault((c, d2g), set())
-                    if seen.issuperset(keys):
-                        yield len(keys)
-                        continue
-                    # Each key with the position of one of its pairs; only
-                    # the keys not seen yet are checked.
-                    at_key = dict(zip(keys, range(0, len(packed), width)))
-                    failed = {}
-                    for key in at_key.keys() - seen:
-                        at = at_key[key]
-                        images, d1f = packed[at : at + n], packed[at + width - 1] - 128
-                        pair = known.get(images)
-                        if pair is None:
-                            h = factor(a, b, fs[at : at + n]).then(factor(b, c, columns_of(b, g_table)))
-                            if code_c.columns(h) != images:
-                                raise AssertionError("composite disagrees with its generator images")
-                            pair = known[images] = (intern(devg1(h)), intern(devg2(h)))
-                        d1h, d2h = pair
-                        if not embeds[d1h][d1f]:
-                            failed[key] = "first"
-                        elif not embeds[d2g][d2h]:
-                            failed[key] = "second"
-                        else:
-                            seen.add(key)
-                    if not failed:
-                        yield len(keys)
-                        continue
-                    # The pairs before the first that fails passed.
-                    i = next(i for i, key in enumerate(keys) if key in failed)
-                    yield i
-                    f = code_b.hom(x, fs[i * width : i * width + n])
-                    g = code_c.hom(groups[b], columns_of(b, g_table))
-                    yield {"f": f.to_json_dict(), "g": g.to_json_dict(), "case": failed[keys[i]]}
-                    return
+    def witness(a: int, b: int, k: int, i: int, case: str) -> dict:
+        return {"f": factor(a, starts[a][b] + i).to_json_dict(), "g": factor(b, k).to_json_dict(), "case": case}
+
+    for a, width in enumerate(widths):
+        composites, passed = [{} for _ in groups], [set() for _ in pairs]
+        for b in range(len(groups)):
+            # The words of the homs a -> b; a row's context is g's index among those out of b.
+            fs = words[a][starts[a][b] * width : starts[a][b + 1] * width]
+            rows = zip(count(), tables[b], map(passed.__getitem__, slots[b]))
+            yield from _pair_sweep(fs, width, rows, partial(judge, a, b, composites), partial(witness, a, b))
 
 
 @claim("T2.1-counterexample", COMPOSITIONS, VERDICT_COUNTEREXAMPLE)

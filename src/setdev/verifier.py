@@ -50,6 +50,7 @@ VERDICT_SKIPPED = "skipped"
 VERDICTS = (VERDICT_VERIFIED, VERDICT_COUNTEREXAMPLE, VERDICT_REFUTED, VERDICT_SKIPPED)
 
 MACHINE_SCHEMA = 1
+MAX_TRIPLE_SIZE = 5  # T1.1 tags inner mappings by kernel in a byte: Bell(5) = 52 fit, Bell(6) = 203 not
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,9 @@ class Universe:
         for name in ("max_set_size", "max_triple_size", "max_group_order", "max_powerset_base"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.max_powerset_base > MAX_BASE:
-            raise ValueError(f"max_powerset_base is capped at {MAX_BASE}")
+        for name, cap in (("max_triple_size", MAX_TRIPLE_SIZE), ("max_powerset_base", MAX_BASE)):
+            if getattr(self, name) > cap:
+                raise ValueError(f"{name} is capped at {cap}")
 
 
 @dataclass(frozen=True)

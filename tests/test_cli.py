@@ -112,6 +112,15 @@ def test_mapping_carriers_are_capped(capsys, command):
     assert code == 0 and out
 
 
+def test_triple_sizes_past_the_kernel_tags_are_refused(capsys):
+    # T1.1 tags kernels in a byte: 52 fit at size 5, 203 at size 6 do not.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--claims", "T1.1", "--max-triple-size", "6")
+    assert code == 2 and not out
+    assert "max_triple_size is capped at 5" in err and "Traceback" not in err
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("command", [("dev",), ("factor",)])
 def test_largest_identity_literal_is_fast(capsys, command):
     # Every block of the identity's kernel partition is a singleton, so

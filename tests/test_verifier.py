@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import random
 import sys
 from itertools import product
 from math import gcd, prod
@@ -11,6 +12,7 @@ from pathlib import Path
 from types import FunctionType, GeneratorType
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import setdev
 from setdev import abgroup, claims, cli, verifier
@@ -61,6 +63,10 @@ def test_universe_validation():
         Universe(max_set_size=-1)
     with pytest.raises(ValueError):
         Universe(max_powerset_base=13)
+    # T1.1 tags kernels in a byte: Bell(5) = 52 fit, Bell(6) = 203 do not.
+    assert Universe(max_triple_size=5).max_triple_size == verifier.MAX_TRIPLE_SIZE == 5
+    with pytest.raises(ValueError, match="max_triple_size is capped at 5"):
+        Universe(max_triple_size=6)
 
 
 def test_registry_ids_unique_and_expected_verdicts_populated():
@@ -641,6 +647,55 @@ def test_group_composition_refuses_what_a_key_byte_cannot_hold(monkeypatch):
     monkeypatch.setattr(claims, "devg1", lambda f: FinAbGroup((next(fresh),)))
     with pytest.raises(ValueError, match="first deviations"):
         check_claim("T2.1", Universe(max_group_order=8))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(0, 7), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_pair_sweep_is_the_plain_loop_judging_each_key_once(data, n, m, seed):
+    # Inner maps of n codes below m, one word each (widths 1, 2, 4 and 8),
+    # outer tables into a few codes and 127, and a verdict drawn at random
+    # per passed set and key. The sweep must count and stop where the loop
+    # over every pair does, and judge a key at most once per passed set.
+    codes = data.draw(st.lists(st.lists(st.integers(0, m - 1), min_size=n, max_size=n), max_size=6))
+    tags = data.draw(st.lists(st.integers(0, 127), min_size=len(codes), max_size=len(codes)))
+    outer = st.lists(st.sampled_from([0, 1, 2, 127]), min_size=m, max_size=m)
+    rows = data.draw(st.lists(st.tuples(outer, st.integers(0, 2)), max_size=8))
+    words, width = claims._words([bytes(c) for c in codes], tags, n)
+    assert width == 1 << n.bit_length() and len(words) == width * len(codes)
+    rng = random.Random(seed)
+    verdicts, judged = {}, set()
+
+    def word_of(table, i):
+        return bytes(table[c] for c in codes[i]) + b"\x80" * (width - 1 - n) + bytes((128 + tags[i],))
+
+    def fails(shared, word):
+        return verdicts.setdefault((shared, word), rng.random() < 0.1 and f"fails {word.hex()}")
+
+    def judge(context, i, word):
+        r, shared = context
+        assert word == word_of(rows[r][0], i)
+        assert (shared, word) not in judged
+        judged.add((shared, word))
+        return fails(shared, word)
+
+    expected, count = None, 0
+    for r, (table, shared) in enumerate(rows):
+        for i in range(len(codes)):
+            failure = fails(shared, word_of(table, i))
+            if failure and expected is None:
+                expected = [count, (r, i, failure)]
+            count += expected is None
+    passed = [set(), set(), set()]
+    swept = list(
+        claims._pair_sweep(
+            words,
+            width,
+            (((r, shared), bytes(table), passed[shared]) for r, (table, shared) in enumerate(rows)),
+            judge,
+            lambda context, i, failure: (context[0], i, failure),
+        )
+    )
+    assert swept == (expected or [count])
 
 
 _THREE = FiniteSet(3)
