@@ -2,7 +2,6 @@ import ast
 import gc
 import hashlib
 import importlib
-import inspect
 import json
 import random
 import sys
@@ -452,11 +451,19 @@ _DOMAIN_SIZES = {
 }
 
 
+def _returns_a_sweep(c, universe):
+    # As the engine tells them apart: by the type of what the check returns
+    # for the first element of its domain (or the bound, on one without).
+    n = c.domain.bound(universe)
+    first = next(iter(c.domain.elements(n))) if c.domain.elements else n
+    return type(c.check(first)) is GeneratorType
+
+
 @pytest.mark.parametrize("universe", [SMALL, Universe()], ids=["small", "default"])
 def test_predicate_claims_check_their_whole_domain(universe):
     # One instance per element of the declared domain, at the bound
     # check_claim resolves from the universe and the domain's cap.
-    predicates = [c for c in REGISTRY.values() if not inspect.isgeneratorfunction(c.check)]
+    predicates = [c for c in REGISTRY.values() if not _returns_a_sweep(c, universe)]
     assert {"0.3", "L3.1", "T3.1", "3.44-literal", "E-fullness", "devg-oracle", "embeds-oracle"} <= {
         c.id for c in predicates
     }
@@ -796,7 +803,9 @@ def test_normal_form_route_reads_no_element_tables(monkeypatch):
     monkeypatch.setattr(abgroup, "element_table", no_tables)
     with pytest.raises(AssertionError):
         abgroup.devg1_oracle(homs[-1])
-    # The uncached functions, so that no earlier result is reused.
+    # The uncached functions over emptied image memos, so that no earlier result is reused.
+    abgroup._image.cache_clear()
+    abgroup._cokernel.cache_clear()
     assert [(abgroup.devg1.__wrapped__(f), abgroup.devg2.__wrapped__(f)) for f in homs] == expected
 
 
@@ -810,6 +819,9 @@ def test_element_route_runs_no_normal_form(monkeypatch):
         raise AssertionError("the element route ran a normal form")
 
     monkeypatch.setattr(abgroup, "smith_normal_form", no_normal_form)
+    # Emptied image memos, so that the normal-form route really runs.
+    abgroup._image.cache_clear()
+    abgroup._cokernel.cache_clear()
     with pytest.raises(AssertionError):
         abgroup.devg2.__wrapped__(homs[-1])
     # Fresh coded groups, so that no memoised quotient is reused.
@@ -817,6 +829,33 @@ def test_element_route_runs_no_normal_form(monkeypatch):
     assert [(abgroup.devg1_oracle(f), abgroup.devg2_oracle(f)) for f in homs] == expected
     oracle = abgroup.embeds_in_oracle.__wrapped__
     assert [[oracle(a, b) for b in groups] for a in groups] == embeddings
+
+
+def test_normal_forms_are_kept_once_per_image():
+    # devg1 and devg2 read a hom's image alone: the memos hold one entry per
+    # (codomain, gcd of the orders, column set) and per (codomain, column
+    # set), and none per hom.
+    abgroup._image.cache_clear()
+    abgroup._cokernel.cache_clear()
+    assert check_claim("devg-oracle", Universe(max_group_order=15)).verdict == VERDICT_VERIFIED
+    homs = _homs_up_to(15)
+    columns = [frozenset(zip(*f.matrix)) for f in homs]
+    images = {(f.cod, gcd(f.dom.order(), f.cod.order()), c) for f, c in zip(homs, columns)}
+    cokernels = {(f.cod, c) for f, c in zip(homs, columns)}
+    assert (len(homs), len(images), len(cokernels)) == (2179, 622, 425)
+    assert abgroup._image.cache_info().currsize == abgroup._image.cache_info().misses == len(images)
+    assert abgroup._cokernel.cache_info().currsize == abgroup._cokernel.cache_info().misses == len(cokernels)
+    assert abgroup.devg1.cache_info().currsize == abgroup.devg2.cache_info().currsize == 0
+    # Z/2 -> Z/2 and Z/6 -> Z/2, each sending the generator to 1: one entry each.
+    z2 = FinAbGroup((2,))
+    abgroup._image.cache_clear()
+    abgroup._cokernel.cache_clear()
+    for f in (GroupHom(z2, z2, ((1,),)), GroupHom(FinAbGroup((6,)), z2, ((1,),))):
+        deviation = (abgroup.devg1(f), abgroup.devg2(f))
+        assert deviation == (abgroup.devg1_oracle(f), abgroup.devg2_oracle(f)) == (z2, FinAbGroup(())), f
+    for memo in (abgroup._image, abgroup._cokernel):
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_reports_are_deterministic():
