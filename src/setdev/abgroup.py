@@ -400,10 +400,6 @@ class CodedGroup:
             self._last = (f, self.values(f.dom, self.columns(f)))
         return self._last[1]
 
-    def hom(self, dom: FinAbGroup, columns: bytes) -> GroupHom:
-        """The homomorphism sending generator j of dom to the element with code columns[j]."""
-        return GroupHom(dom, self.group, self._matrix(columns))
-
     def _matrix(self, columns: bytes) -> tuple[tuple[int, ...], ...]:
         """The matrix whose column j holds the coordinates of code columns[j]."""
         elements = self.elements

@@ -15,7 +15,7 @@ from .abgroup import GroupHom, devg
 from .chu import e_space, embed, ex_deviation, morphism_is_valid
 from .finset import Mapping, canonical_factorization, classify, deviation, elements, kernel_partition
 from .powerset import MAX_BASE
-from .verifier import Universe, check_claim, machine_records, registry, text_report, together
+from .verifier import MACHINE_SCHEMA, Universe, check_claim, machine_records, registry, text_report, together
 
 USAGE_ERROR = 2
 # Largest domain or codomain of a mapping literal, since output grows with
@@ -78,6 +78,16 @@ def _emit(text: str, path: str | None) -> None:
             raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _emit_record(args: argparse.Namespace, record: dict, lines: list[str]) -> int:
+    """Write record, stamped with the schema, as one JSON line in machine
+    format, and the text lines otherwise; an inspection's exit code."""
+    if args.format == "machine":
+        _emit(json.dumps({"schema": MACHINE_SCHEMA, **record}, sort_keys=True) + "\n", args.output)
+    else:
+        _emit("\n".join(lines) + "\n", args.output)
+    return 0
+
+
 def _add_universe_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-size", type=int, default=4, help="carrier size bound")
     parser.add_argument("--max-triple-size", type=int, default=3, help="composition carrier bound")
@@ -137,58 +147,48 @@ def cmd_dev(args: argparse.Namespace) -> int:
     dev = deviation(f)
     flags = classify(f).flags()
     fact = canonical_factorization(f)
-    if args.format == "machine":
-        record = {
-            "schema": 1,
-            "type": "dev",
-            "mapping": f.to_json_dict(),
-            "partition": dev.part.to_lists(),
-            "missed": list(elements(dev.missed)),
-            "flags": list(flags),
-            "factorization": {
-                "proj": list(fact.proj.table),
-                "mid": list(fact.mid.table),
-                "incl": list(fact.incl.table),
-            },
-        }
-        _emit(json.dumps(record, sort_keys=True) + "\n", args.output)
-    else:
-        out = [
-            f"mapping: {json.dumps(f.to_json_dict())}",
-            f"kernel partition: {dev.part.to_lists()}",
-            f"missed: {list(elements(dev.missed))}",
-            f"flags: {', '.join(flags) if flags else '(none)'}",
-            f"factorization: proj {list(fact.proj.table)} onto {fact.proj.cod.size} blocks; "
-            f"mid {list(fact.mid.table)}; incl {list(fact.incl.table)} into {f.cod.size}",
-        ]
-        _emit("\n".join(out) + "\n", args.output)
-    return 0
+    record = {
+        "type": "dev",
+        "mapping": f.to_json_dict(),
+        "partition": dev.part.to_lists(),
+        "missed": list(elements(dev.missed)),
+        "flags": list(flags),
+        "factorization": {
+            "proj": list(fact.proj.table),
+            "mid": list(fact.mid.table),
+            "incl": list(fact.incl.table),
+        },
+    }
+    out = [
+        f"mapping: {json.dumps(f.to_json_dict())}",
+        f"kernel partition: {dev.part.to_lists()}",
+        f"missed: {list(elements(dev.missed))}",
+        f"flags: {', '.join(flags) if flags else '(none)'}",
+        f"factorization: proj {list(fact.proj.table)} onto {fact.proj.cod.size} blocks; "
+        f"mid {list(fact.mid.table)}; incl {list(fact.incl.table)} into {f.cod.size}",
+    ]
+    return _emit_record(args, record, out)
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
     f = _parse_mapping(args.mapping)
     fact = canonical_factorization(f)
-    if args.format == "machine":
-        record = {
-            "schema": 1,
-            "type": "factorization",
-            "mapping": f.to_json_dict(),
-            "proj": fact.proj.to_json_dict(),
-            "mid": fact.mid.to_json_dict(),
-            "incl": fact.incl.to_json_dict(),
-        }
-        _emit(json.dumps(record, sort_keys=True) + "\n", args.output)
-    else:
-        blocks = ("{" + ",".join(map(str, blk)) + "}" for blk in kernel_partition(f).to_lists())
-        out = [
-            f"mapping: {json.dumps(f.to_json_dict())}",
-            f"proj (surjection): {json.dumps(fact.proj.to_json_dict())}",
-            f"mid  (bijection) : {json.dumps(fact.mid.to_json_dict())}",
-            f"incl (injection) : {json.dumps(fact.incl.to_json_dict())}",
-            f"blocks: {', '.join(blocks)}",
-        ]
-        _emit("\n".join(out) + "\n", args.output)
-    return 0
+    record = {
+        "type": "factorization",
+        "mapping": f.to_json_dict(),
+        "proj": fact.proj.to_json_dict(),
+        "mid": fact.mid.to_json_dict(),
+        "incl": fact.incl.to_json_dict(),
+    }
+    blocks = ("{" + ",".join(map(str, blk)) + "}" for blk in kernel_partition(f).to_lists())
+    out = [
+        f"mapping: {json.dumps(f.to_json_dict())}",
+        f"proj (surjection): {json.dumps(fact.proj.to_json_dict())}",
+        f"mid  (bijection) : {json.dumps(fact.mid.to_json_dict())}",
+        f"incl (injection) : {json.dumps(fact.incl.to_json_dict())}",
+        f"blocks: {', '.join(blocks)}",
+    ]
+    return _emit_record(args, record, out)
 
 
 def cmd_group(args: argparse.Namespace) -> int:
@@ -205,25 +205,20 @@ def cmd_group(args: argparse.Namespace) -> int:
         flags.append("surjective")
     if iso_shape:
         flags.append("isomorphism")
-    if args.format == "machine":
-        record = {
-            "schema": 1,
-            "type": "group-deviation",
-            "hom": f.to_json_dict(),
-            "devg1": list(d.first.factors),
-            "devg2": list(d.second.factors),
-            "flags": flags,
-        }
-        _emit(json.dumps(record, sort_keys=True) + "\n", args.output)
-    else:
-        out = [
-            f"hom: {json.dumps(f.to_json_dict())}",
-            f"devg1 (domain / kernel): {list(d.first.factors)}",
-            f"devg2 (codomain / image): {list(d.second.factors)}",
-            f"flags: {', '.join(flags) if flags else '(none)'}",
-        ]
-        _emit("\n".join(out) + "\n", args.output)
-    return 0
+    record = {
+        "type": "group-deviation",
+        "hom": f.to_json_dict(),
+        "devg1": list(d.first.factors),
+        "devg2": list(d.second.factors),
+        "flags": flags,
+    }
+    out = [
+        f"hom: {json.dumps(f.to_json_dict())}",
+        f"devg1 (domain / kernel): {list(d.first.factors)}",
+        f"devg2 (codomain / image): {list(d.second.factors)}",
+        f"flags: {', '.join(flags) if flags else '(none)'}",
+    ]
+    return _emit_record(args, record, out)
 
 
 def cmd_chu(args: argparse.Namespace) -> int:
@@ -234,7 +229,6 @@ def cmd_chu(args: argparse.Namespace) -> int:
     m = embed(f)
     valid = morphism_is_valid(m, ex, ey)
     record = {
-        "schema": 1,
         "type": "chu-embedding",
         "mapping": f.to_json_dict(),
         "source": ex.to_json_dict(),
@@ -248,23 +242,19 @@ def cmd_chu(args: argparse.Namespace) -> int:
             "block_sizes": [b.bit_count() for b in dev.part.blocks],
             "missed": list(elements(dev.missed)),
         }
-    if args.format == "machine":
-        _emit(json.dumps(record, sort_keys=True) + "\n", args.output)
-    else:
-        out = [
-            f"mapping: {json.dumps(f.to_json_dict())}",
-            f"evaluation space: {f.dom.size} points x {ex.states.size} states",
-            f"forward: {list(m.forward.table)}",
-            f"backward: {list(m.backward.table)}",
-            f"adjointness holds: {valid}",
-        ]
-        if "evaluation_deviation" in record:
-            out.append(
-                f"evaluation deviation: blocks {record['evaluation_deviation']['block_sizes']}, "
-                f"missed {record['evaluation_deviation']['missed']}"
-            )
-        _emit("\n".join(out) + "\n", args.output)
-    return 0
+    out = [
+        f"mapping: {json.dumps(f.to_json_dict())}",
+        f"evaluation space: {f.dom.size} points x {ex.states.size} states",
+        f"forward: {list(m.forward.table)}",
+        f"backward: {list(m.backward.table)}",
+        f"adjointness holds: {valid}",
+    ]
+    if "evaluation_deviation" in record:
+        out.append(
+            f"evaluation deviation: blocks {record['evaluation_deviation']['block_sizes']}, "
+            f"missed {record['evaluation_deviation']['missed']}"
+        )
+    return _emit_record(args, record, out)
 
 
 def cmd_counterexamples(args: argparse.Namespace) -> int:
@@ -273,23 +263,18 @@ def cmd_counterexamples(args: argparse.Namespace) -> int:
         check_claim(claim_id, universe).witness
         for claim_id in ("T1.2-counterexample", "rho-not-functor", "T2.1-counterexample")
     )
-    if args.format == "machine":
-        record = {
-            "schema": 1,
-            "type": "counterexamples",
-            "dev2_incomparability": dev2,
-            "rho_not_functor": rho,
-            "devg2_incomparability": devg2,
-        }
-        _emit(json.dumps(record, sort_keys=True) + "\n", args.output)
-    else:
-        out = [
-            f"missed-set incomparability: {json.dumps(dev2, sort_keys=True)}",
-            f"induced-bijection signature drift: {json.dumps(rho, sort_keys=True)}",
-            f"group second-component incomparability: {json.dumps(devg2, sort_keys=True)}",
-        ]
-        _emit("\n".join(out) + "\n", args.output)
-    return 0
+    record = {
+        "type": "counterexamples",
+        "dev2_incomparability": dev2,
+        "rho_not_functor": rho,
+        "devg2_incomparability": devg2,
+    }
+    out = [
+        f"missed-set incomparability: {json.dumps(dev2, sort_keys=True)}",
+        f"induced-bijection signature drift: {json.dumps(rho, sort_keys=True)}",
+        f"group second-component incomparability: {json.dumps(devg2, sort_keys=True)}",
+    ]
+    return _emit_record(args, record, out)
 
 
 def build_parser() -> argparse.ArgumentParser:

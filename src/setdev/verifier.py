@@ -24,9 +24,12 @@ it, the claims with one domain and one resolved bound form a group: the
 first ``check_claim`` of a group enumerates the domain once and hands each
 element to every claim of the group without a witness yet, in selection
 order, and the later calls return the reports it stored. So the facts an
-element carries (``claims.MappingFacts`` on the powerset domains) are
+element carries (``claims.MappingFacts`` on the mapping domains) are
 computed once for all the claims reading them and dropped with it. A
 claim's time is that of its own calls, facts it was first to read included.
+Domains over the same elements with different bounds, such as the
+mappings of ``claims.SETS`` and ``claims.POWERSETS``, stay apart: one pass
+handing each mapping to every claim of both measured no faster than two.
 """
 
 from __future__ import annotations

@@ -292,8 +292,9 @@ def test_every_check_receives_its_domain_in_order():
 
 
 def test_shared_sweep_builds_each_fact_once_per_mapping(monkeypatch):
-    names = ["preimage_map", "direct_image_map", "kappa", "restrict_preimage_to_image"]
-    calls = dict.fromkeys(names, 0)
+    maps = ["preimage_map", "direct_image_map", "kappa", "restrict_preimage_to_image"]
+    facts = ["kernel_partition", "_inj_direct", "_surj_direct", "_const_direct"]
+    calls = dict.fromkeys(maps + facts, 0)
 
     def counting(name, honest):
         def count(*args):
@@ -304,30 +305,31 @@ def test_shared_sweep_builds_each_fact_once_per_mapping(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(claims, name, counting(name, getattr(claims, name)))
-    universe = Universe(max_powerset_base=4)
+    universe = Universe(max_set_size=4, max_powerset_base=4)
     # Each fact a claim of the domain reads is built once per mapping: 499
     # mappings between carriers of size at most 4, 60 at the extension cap 3.
-    for domain, ids, built in [
-        (claims.POWERSETS, ["3.18", "L3.1", "L3.2", "3.29-3.30", "L3.3a", "L3.3b", "3.58-3.61"], names),
-        (claims.EXTENSIONS, ["T3.1", "T3.2", "T3.3", "3.44-literal", "3.44-computed", "E-fullness"], names[:2]),
+    for domain, ids, names, built in [
+        (claims.SETS, ["0.3", "0.8-0.10", "1.3"], facts, facts),
+        (claims.POWERSETS, ["3.18", "L3.1", "L3.2", "3.29-3.30", "L3.3a", "L3.3b", "3.58-3.61"], maps, maps),
+        (claims.EXTENSIONS, ["T3.1", "T3.2", "T3.3", "3.44-literal", "3.44-computed", "E-fullness"], maps, maps[:2]),
     ]:
         selected = [c for c in REGISTRY.values() if c.domain is domain]
         assert [c.id for c in selected] == ids
-        calls.update(dict.fromkeys(names, 0))
+        calls.update(dict.fromkeys(calls, 0))
         with verifier.together(selected, universe):
             reports = [check_claim(c, universe) for c in selected]
         assert [r.ok() for r in reports] == [True] * len(ids)
         count = _mapping_count(domain.bound(universe))
-        assert calls == {name: count if name in built else 0 for name in names}
+        assert {name: calls[name] for name in names} == {name: count if name in built else 0 for name in names}
 
 
 def test_shared_sweep_hands_each_claim_its_own_elements_and_stops_it_at_its_witness():
     seen = {"a": [], "b": []}
 
     def predicate(name, fails_at):
-        def check(f):
-            seen[name].append(f.table)
-            return {"at": list(f.table)} if len(seen[name]) == fails_at else None
+        def check(m):
+            seen[name].append(m.f.table)
+            return {"at": list(m.f.table)} if len(seen[name]) == fails_at else None
 
         return check
 
@@ -446,6 +448,7 @@ _DOMAIN_SIZES = {
     claims.SETS: _mapping_count,
     claims.POWERSETS: _mapping_count,
     claims.EXTENSIONS: _mapping_count,
+    claims.POWERSET_BASES: lambda n: max(n - 1, 0),
     claims.HOMS: _hom_count,
     claims.ORACLE_GROUPS: lambda n: _group_count(n) ** 2,
 }
