@@ -10,28 +10,26 @@ left; that is the unique order under which adjointness is preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .finset import Deviation, FiniteSet, Mapping, deviation
 from .powerset import power_set, preimage_map
 
 
-@dataclass(frozen=True)
-class ChuSpace:
-    points: FiniteSet
-    states: FiniteSet
-    alphabet: FiniteSet
-    matrix: tuple[tuple[int, ...], ...]
+class ChuSpace(namedtuple("ChuSpace", "points states alphabet matrix")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if len(self.matrix) != self.points.size:
+    def __new__(cls, points: FiniteSet, states: FiniteSet, alphabet: FiniteSet, matrix: tuple) -> ChuSpace:
+        if len(matrix) != points.size:
             raise ValueError("matrix needs one row per point")
-        for row in self.matrix:
-            if len(row) != self.states.size:
+        for row in matrix:
+            if len(row) != states.size:
                 raise ValueError("matrix rows need one entry per state")
             for w in row:
-                if not 0 <= w < self.alphabet.size:
+                if not 0 <= w < alphabet.size:
                     raise ValueError(f"matrix entry {w} outside the alphabet")
+        return tuple.__new__(cls, (points, states, alphabet, matrix))
 
     def to_json_dict(self) -> dict:
         return {
@@ -42,10 +40,8 @@ class ChuSpace:
         }
 
 
-@dataclass(frozen=True)
-class ChuMorphism:
-    forward: Mapping
-    backward: Mapping
+class ChuMorphism(namedtuple("ChuMorphism", "forward backward")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"forward": self.forward.to_json_dict(), "backward": self.backward.to_json_dict()}

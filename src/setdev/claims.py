@@ -14,9 +14,10 @@ here rather than reusing library shortcuts.
 
 The checks of SETS, POWERSETS and EXTENSIONS receive a ``MappingFacts`` per
 mapping, which the claims the engine sweeps together share. Its facts are
-library routes (the kernel and image, the subset maps, the kernel of the
-extension, and kappa, kernel and deviation of the preimage map) and the
-direct routes ``inj_direct``, ``surj_direct`` and ``const_direct``; each is
+library routes (the kernel, the image and its subsets, the subset maps,
+the kernel of the extension, and kappa and deviation of the preimage map,
+whose kernel it holds) and the direct routes ``inj_direct``,
+``surj_direct`` and ``const_direct``; each is
 computed on first read and dropped with the mapping. The partitions they
 are compared with are ``CarrierFacts``, built once per carrier size and
 sweep. No claim reads both sides of a cross-check from one fact.
@@ -157,10 +158,10 @@ class MappingFacts:
     pre = _Fact(lambda m: preimage_map(m.f))
     restricted = _Fact(lambda m: restrict_preimage_to_image(m.f))
     kappa = _Fact(lambda m: kappa(m.pre))
-    pre_kernel = _Fact(lambda m: kernel_partition(m.pre))
     pre_deviation = _Fact(lambda m: deviation(m.pre))
     kernel = _Fact(lambda m: kernel_partition(m.f))
     image = _Fact(lambda m: image(m.f))
+    image_subsets = _Fact(lambda m: _image_subsets(m.image))
     # The direct routes, read off the raw table.
     inj_direct = _Fact(lambda m: _inj_direct(m.f))
     surj_direct = _Fact(lambda m: _surj_direct(m.f))
@@ -678,8 +679,7 @@ def check_galois_identities(m: MappingFacts):
     """Every subset sits inside the preimage of its image, with
     equality for all subsets exactly when the mapping is injective;
     taking images retracts preimages on subsets of the image."""
-    tilde, pre = m.tilde.table, m.pre.table
-    subsets = _image_subsets(m.image)
+    tilde, pre, subsets = m.tilde.table, m.pre.table, m.image_subsets
     # back[a] is the preimage of the image of a.
     back = [pre[t] for t in tilde]
     expand_ok = [a | b for a, b in enumerate(back)] == back
@@ -695,7 +695,7 @@ def check_kappa_lemma(m: MappingFacts):
     map bijectively, and that kernel is discrete exactly for surjective
     mappings, where the enumeration is the singleton identification."""
     ka, surj = m.kappa, m.surj_direct
-    discrete_on_py = m.pre_kernel == m.cod.power_bottom
+    discrete_on_py = m.pre_deviation.part == m.cod.power_bottom
     ok = ka.is_bijective() and discrete_on_py == surj and (not surj or ka == m.cod.singletons)
     return None if ok else _pair_witness(m.f)
 
@@ -753,7 +753,7 @@ def check_theorem_surjective(m: MappingFacts):
         pre.is_injective(),
         m.image == (1 << f.cod.size) - 1,
         _missed_mask(tilde) == 0,
-        m.pre_kernel == m.cod.power_bottom,
+        m.pre_deviation.part == m.cod.power_bottom,
     )
     return None if len(set(items)) == 1 else _pair_witness(f, items=list(items))
 
@@ -768,7 +768,7 @@ def check_theorem_bijective(m: MappingFacts):
         pre.is_bijective(),
         m.kernel == m.dom.bottom and m.image == (1 << f.cod.size) - 1,
         m.tilde_kernel == m.dom.power_bottom and _missed_mask(tilde) == 0,
-        m.pre_kernel == m.cod.power_bottom and _missed_mask(pre) == 0,
+        m.pre_deviation.part == m.cod.power_bottom and _missed_mask(pre) == 0,
     )
     return None if len(set(items)) == 1 else _pair_witness(f, items=list(items))
 
@@ -820,7 +820,7 @@ def check_composition_identities(m: MappingFacts):
         and (not m.inj_direct or [pre[t] for t in tilde] == list(range(1 << m.f.dom.size)))
         # The restricted preimage is indexed by subsets of the image as
         # _image_subsets lists them, so extension after it is the inclusion.
-        and [tilde[v] for v in restricted.table] == _image_subsets(m.image)
+        and [tilde[v] for v in restricted.table] == m.image_subsets
         and (not m.surj_direct or [tilde[v] for v in pre] == list(range(1 << m.f.cod.size)))
     )
     return None if ok else _pair_witness(m.f)

@@ -14,19 +14,18 @@ two is the deviation of f, and every mapping factors as
     -> bijection onto the image
     -> inclusion into the codomain.
 
-Public constructors and literals keep every check; the library's own
+Values are slotted tuples, so building, comparing and hashing them runs in
+C. Public constructors and literals keep every check, run once in
+``__new__``, which ``_make`` and ``_replace`` also reach; the library's own
 constructions whose validity follows from valid inputs (enumerated tables,
 composites, factorizations, kernel partitions, subset maps) skip them
-through ``_mapping`` and ``_partition``.
+through ``_mapping`` and ``_partition``, which build the tuple alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator
-
-# The unchecked constructors' way round a frozen dataclass's __init__.
-_new, _put = object.__new__, object.__setattr__
 
 
 def _is_int(value: object) -> bool:
@@ -44,19 +43,19 @@ def elements(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class FiniteSet:
+class FiniteSet(namedtuple("FiniteSet", "size")):
     """Canonical carrier {0, ..., size-1}."""
 
-    size: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError(f"size must be non-negative, got {self.size}")
+    def __new__(cls, size: int) -> FiniteSet:
+        if size < 0:
+            raise ValueError(f"size must be non-negative, got {size}")
+        return tuple.__new__(cls, (size,))
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
+class Partition(namedtuple("Partition", "base blocks")):
     """Partition of a finite carrier into nonempty disjoint covering blocks.
 
     Blocks are int bitmasks in canonical order (ascending minimum element),
@@ -64,12 +63,12 @@ class Partition:
     has exactly one partition: the empty one.
     """
 
-    base: FiniteSet
-    blocks: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
+    def __new__(cls, base: FiniteSet, blocks: tuple[int, ...]) -> Partition:
         seen = prev_low = 0
-        for blk in self.blocks:
+        for blk in blocks:
             if type(blk) is not int or blk <= 0:
                 raise ValueError("blocks must be nonempty int bitmasks")
             if blk & seen:
@@ -79,19 +78,17 @@ class Partition:
                 raise ValueError("blocks must be ordered by minimum element")
             prev_low = low
             seen |= blk
-        if seen != (1 << self.base.size) - 1:
+        if seen != (1 << base.size) - 1:
             raise ValueError("blocks must cover the carrier and nothing outside it")
+        return tuple.__new__(cls, (base, blocks))
 
     def to_lists(self) -> list[list[int]]:
         return [list(elements(blk)) for blk in self.blocks]
 
 
 def _partition(base: FiniteSet, blocks: tuple[int, ...]) -> Partition:
-    """A Partition whose blocks are valid by construction, without __post_init__."""
-    p = _new(Partition)
-    _put(p, "base", base)
-    _put(p, "blocks", blocks)
-    return p
+    """A Partition whose blocks are valid by construction, without its checks."""
+    return tuple.__new__(Partition, (base, blocks))
 
 
 def discrete(base: FiniteSet) -> Partition:
@@ -134,13 +131,16 @@ def all_partitions(base: FiniteSet) -> Iterator[Partition]:
     yield from rec(1, 0)
 
 
-@dataclass(frozen=True, slots=True)
-class Mapping:
+class Mapping(namedtuple("Mapping", "dom cod table")):
     """Total mapping between finite carriers, tabulated on the domain."""
 
-    dom: FiniteSet
-    cod: FiniteSet
-    table: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, dom: FiniteSet, cod: FiniteSet, table: tuple[int, ...]) -> Mapping:
+        f = tuple.__new__(cls, (dom, cod, table))
+        f.__post_init__()  # the checks, a hook of their own: perfbench counts its calls
+        return f
 
     def __post_init__(self) -> None:
         table, size = self.table, self.cod.size
@@ -191,15 +191,10 @@ class Mapping:
 
 def _mapping(dom: FiniteSet, cod: FiniteSet, table: tuple[int, ...]) -> Mapping:
     """A Mapping whose table is in range by construction, without __post_init__."""
-    f = _new(Mapping)
-    _put(f, "dom", dom)
-    _put(f, "cod", cod)
-    _put(f, "table", table)
-    return f
+    return tuple.__new__(Mapping, (dom, cod, table))
 
 
-@dataclass(frozen=True, slots=True)
-class Deviation:
+class Deviation(namedtuple("Deviation", "part cod missed")):
     """How far a mapping is from a bijection.
 
     ``part`` partitions the domain into fibres (trivial iff injective) and
@@ -207,17 +202,16 @@ class Deviation:
     (zero iff surjective).
     """
 
-    part: Partition
-    cod: FiniteSet
-    missed: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.missed < (1 << self.cod.size):
+    def __new__(cls, part: Partition, cod: FiniteSet, missed: int) -> Deviation:
+        if not 0 <= missed < (1 << cod.size):
             raise ValueError("missed set has bits outside the codomain")
+        return tuple.__new__(cls, (part, cod, missed))
 
 
-@dataclass(frozen=True, slots=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "proj mid incl")):
     """Surjection-bijection-injection factorization of a mapping.
 
     ``proj`` collapses the domain onto the blocks of the kernel partition,
@@ -226,25 +220,17 @@ class Factorization:
     recovers the original mapping.
     """
 
-    proj: Mapping
-    mid: Mapping
-    incl: Mapping
+    __slots__ = ()
 
     def recompose(self) -> Mapping:
         return self.proj.then(self.mid).then(self.incl)
 
 
-@dataclass(frozen=True, slots=True)
-class Classification:
-    injective: bool
-    surjective: bool
-    bijective: bool
-    constant: bool
+class Classification(namedtuple("Classification", "injective surjective bijective constant")):
+    __slots__ = ()
 
     def flags(self) -> tuple[str, ...]:
-        names = ("injective", "surjective", "bijective", "constant")
-        values = (self.injective, self.surjective, self.bijective, self.constant)
-        return tuple(n for n, v in zip(names, values) if v)
+        return tuple(n for n, v in zip(self._fields, self) if v)
 
 
 def image(f: Mapping) -> int:

@@ -24,8 +24,20 @@ def power_set(base: FiniteSet) -> FiniteSet:
     return _POWER_SETS[base.size]
 
 
+# _OR[mask][v] is v | mask, for masks below 256, each table built on first use.
+_OR: dict[int, bytes] = {}
+
+
 def _unions(masks: list[int]) -> tuple[int, ...]:
     """table[s] is the OR of masks[i] over the bits i of s."""
+    if max(masks, default=0) < 256:
+        # Bases up to 8: each doubling ORs mask into the table so far by one translate.
+        table = b"\0"
+        for mask in masks:
+            if mask not in _OR:
+                _OR[mask] = bytes([v | mask for v in range(256)])
+            table += table.translate(_OR[mask])
+        return tuple(table)
     table = [0]
     for mask in masks:
         table += [t | mask for t in table]

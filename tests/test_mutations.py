@@ -140,6 +140,12 @@ ROWS = {
     "L3.3a-kappa": (
         "L3.3a", "kappa", (_PRE,), _m(2, 2, (0, 0)), _POWERSET_2, _pair(_MISSES_0), 6,
     ),
+    # The preimage map of (1), which misses 0, reported with a discrete
+    # kernel: L3.3a reads that kernel off the deviation, so it takes (1) for surjective.
+    "L3.3a-deviation": (
+        "L3.3a", "deviation", (_PRE,), Deviation(discrete(FiniteSet(4)), _TWO, 0),
+        _POWERSET_2, _pair(_MISSES_0), 6,
+    ),
     # The same lie makes the injective mapping fail the injective form.
     "L3.3b-kappa": (
         "L3.3b", "kappa", (_PRE,), _m(2, 2, (0, 0)), _POWERSET_2, _pair(_MISSES_0), 6,

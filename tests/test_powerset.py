@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from setdev.finset import FiniteSet, Mapping, image, kernel_partition
 from setdev.powerset import (
+    _unions,
     direct_image_map,
     iota,
     kappa,
@@ -26,6 +27,21 @@ def test_power_set_sizes():
 def test_power_set_bound():
     with pytest.raises(ValueError):
         power_set(FiniteSet(13))
+
+
+@given(st.lists(st.integers(0, 255) | st.integers(256, 4095), max_size=8))
+@example([255] * 8)
+@example([0, 256, 1, 4095])
+def test_unions_is_the_or_over_the_bits_of_each_subset(masks):
+    # Tables of masks below 256 are built in bytes, any others in a list.
+    table = _unions(masks)
+    assert type(table) is tuple and len(table) == 1 << len(masks)
+    for s, value in enumerate(table):
+        union = 0
+        for i, mask in enumerate(masks):
+            if s >> i & 1:
+                union |= mask
+        assert value == union
 
 
 def test_direct_image_examples():

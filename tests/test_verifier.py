@@ -294,7 +294,7 @@ def test_every_check_receives_its_domain_in_order():
 def test_shared_sweep_builds_each_fact_once_per_mapping(monkeypatch):
     maps = ["preimage_map", "direct_image_map", "kappa", "restrict_preimage_to_image"]
     facts = ["kernel_partition", "_inj_direct", "_surj_direct", "_const_direct"]
-    calls = dict.fromkeys(maps + facts, 0)
+    calls = dict.fromkeys(maps + facts + ["deviation", "_image_subsets"], 0)
 
     def counting(name, honest):
         def count(*args):
@@ -308,10 +308,20 @@ def test_shared_sweep_builds_each_fact_once_per_mapping(monkeypatch):
     universe = Universe(max_set_size=4, max_powerset_base=4)
     # Each fact a claim of the domain reads is built once per mapping: 499
     # mappings between carriers of size at most 4, 60 at the extension cap 3.
-    for domain, ids, names, built in [
-        (claims.SETS, ["0.3", "0.8-0.10", "1.3"], facts, facts),
-        (claims.POWERSETS, ["3.18", "L3.1", "L3.2", "3.29-3.30", "L3.3a", "L3.3b", "3.58-3.61"], maps, maps),
-        (claims.EXTENSIONS, ["T3.1", "T3.2", "T3.3", "3.44-literal", "3.44-computed", "E-fullness"], maps, maps[:2]),
+    # The preimage map's kernel is read off its deviation, so
+    # kernel_partition runs on the mapping and its extension alone.
+    for domain, ids, built in [
+        (claims.SETS, ["0.3", "0.8-0.10", "1.3"], dict.fromkeys(facts, 1)),
+        (
+            claims.POWERSETS,
+            ["3.18", "L3.1", "L3.2", "3.29-3.30", "L3.3a", "L3.3b", "3.58-3.61"],
+            {**dict.fromkeys(maps, 1), "deviation": 1, "_image_subsets": 1, "kernel_partition": 0},
+        ),
+        (
+            claims.EXTENSIONS,
+            ["T3.1", "T3.2", "T3.3", "3.44-literal", "3.44-computed", "E-fullness"],
+            {**dict.fromkeys(maps, 0), "preimage_map": 1, "direct_image_map": 1, "deviation": 1, "kernel_partition": 2},
+        ),
     ]:
         selected = [c for c in REGISTRY.values() if c.domain is domain]
         assert [c.id for c in selected] == ids
@@ -320,7 +330,7 @@ def test_shared_sweep_builds_each_fact_once_per_mapping(monkeypatch):
             reports = [check_claim(c, universe) for c in selected]
         assert [r.ok() for r in reports] == [True] * len(ids)
         count = _mapping_count(domain.bound(universe))
-        assert {name: calls[name] for name in names} == {name: count if name in built else 0 for name in names}
+        assert {name: calls[name] for name in built} == {name: k * count for name, k in built.items()}
 
 
 def test_shared_sweep_hands_each_claim_its_own_elements_and_stops_it_at_its_witness():
