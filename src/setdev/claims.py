@@ -14,9 +14,9 @@ here rather than reusing library shortcuts.
 
 The checks of SETS, POWERSETS and EXTENSIONS receive a ``MappingFacts`` per
 mapping, which the claims the engine sweeps together share. Its facts are
-library routes (the kernel, the image and its subsets, the subset maps,
-the kernel of the extension, and kappa and deviation of the preimage map,
-whose kernel it holds) and the direct routes ``inj_direct``,
+library routes (the deviation, whose kernel it holds, the image and its
+subsets, the subset maps, the kernel of the extension, and kappa and
+deviation of the preimage map) and the direct routes ``inj_direct``,
 ``surj_direct`` and ``const_direct``; each is
 computed on first read and dropped with the mapping. The partitions they
 are compared with are ``CarrierFacts``, built once per carrier size and
@@ -159,7 +159,7 @@ class MappingFacts:
     restricted = _Fact(lambda m: restrict_preimage_to_image(m.f))
     kappa = _Fact(lambda m: kappa(m.pre))
     pre_deviation = _Fact(lambda m: deviation(m.pre))
-    kernel = _Fact(lambda m: kernel_partition(m.f))
+    deviation = _Fact(lambda m: deviation(m.f))
     image = _Fact(lambda m: image(m.f))
     image_subsets = _Fact(lambda m: _image_subsets(m.image))
     # The direct routes, read off the raw table.
@@ -325,7 +325,7 @@ def check_factorization(m: MappingFacts):
 @claim("0.8-0.10", SETS)
 def check_classification(m: MappingFacts):
     """Classification flags read off the deviation agree with the direct definitions."""
-    c = classify(m.f)
+    c = classify(m.deviation)
     inj, surj = m.inj_direct, m.surj_direct
     ok = (
         c.injective == inj
@@ -340,7 +340,7 @@ def check_classification(m: MappingFacts):
 def check_kernel_bounds(m: MappingFacts):
     """Kernel partitions sit between discrete and single-block, with
     equality exactly for injective and constant mappings."""
-    part, bottom, top = m.kernel, m.dom.bottom, m.dom.top
+    part, bottom, top = m.deviation.part, m.dom.bottom, m.dom.top
     ok = (
         partition_leq(bottom, part)
         and partition_leq(part, top)
@@ -373,19 +373,18 @@ def check_least_deviation(sizes):
     """A mapping is bijective iff its deviation is (discrete, empty) and
     lies below the deviation of every mapping with the same signature."""
     x, y = FiniteSet(sizes[0]), FiniteSet(sizes[1])
-    full = (1 << y.size) - 1
     least = Deviation(discrete(x), y, 0)
     # Unless the least deviation lies below every other, a mapping fails iff it
     # is bijective, and otherwise iff it is bijective or at the least but not
     # both. One pass keeps the deviations and the first failure in each case.
     devs, at, first_bijective, first_off_least = set(), -1, None, None
     for at, f in enumerate(enumerate_mappings(x, y)):
-        part, img = kernel_partition(f), image(f)
-        devs.add(Deviation(part, y, full ^ img))
+        d = deviation(f)
+        devs.add(d)
         bij = _inj_direct(f) and _surj_direct(f)
         if bij and first_bijective is None:
             first_bijective = at, f
-        if bij != (part == least.part and img == full) and first_off_least is None:
+        if bij != (d == least) and first_off_least is None:
             first_off_least = at, f
     failed = first_off_least if all(deviation_leq(least, d) for d in devs) else first_bijective
     yield at + 1 if failed is None else failed[0]
@@ -736,7 +735,7 @@ def check_theorem_injective(m: MappingFacts):
         m.inj_direct,
         tilde.is_injective(),
         m.pre.is_surjective(),
-        m.kernel == m.dom.bottom,
+        m.deviation.part == m.dom.bottom,
         m.tilde_kernel == m.dom.power_bottom and _missed_mask(tilde) == _tilde_missed_expected(f),
         m.pre_deviation.missed == 0,
     )
@@ -766,7 +765,7 @@ def check_theorem_bijective(m: MappingFacts):
         m.inj_direct and m.surj_direct,
         tilde.is_bijective(),
         pre.is_bijective(),
-        m.kernel == m.dom.bottom and m.image == (1 << f.cod.size) - 1,
+        m.deviation.part == m.dom.bottom and m.image == (1 << f.cod.size) - 1,
         m.tilde_kernel == m.dom.power_bottom and _missed_mask(tilde) == 0,
         m.pre_deviation.part == m.cod.power_bottom and _missed_mask(pre) == 0,
     )

@@ -145,7 +145,7 @@ def cmd_dev(args: argparse.Namespace) -> int:
         _emit(_dot_deviation(f), args.output)
         return 0
     dev = deviation(f)
-    flags = classify(f).flags()
+    flags = classify(dev).flags()
     fact = canonical_factorization(f)
     record = {
         "type": "dev",

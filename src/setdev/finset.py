@@ -272,14 +272,13 @@ def deviation(f: Mapping) -> Deviation:
     return Deviation(kernel_partition(f), f.cod, image(f) ^ ((1 << f.cod.size) - 1))
 
 
-def classify(f: Mapping) -> Classification:
-    """Read the four classification flags off the deviation of f.
+def classify(dev: Deviation) -> Classification:
+    """Read the four classification flags off a mapping's deviation.
 
     Injective iff the kernel partition is discrete, surjective iff nothing
     is missed, constant iff the kernel partition is the single-block one
     (vacuously so on the empty domain).
     """
-    dev = deviation(f)
     injective = all(blk & (blk - 1) == 0 for blk in dev.part.blocks)
     surjective = dev.missed == 0
     constant = len(dev.part.blocks) <= 1

@@ -200,20 +200,20 @@ def test_deviation_examples():
 
 
 def test_classification_examples():
-    assert classify(Mapping.identity(FiniteSet(3))).flags() == (
+    assert classify(deviation(Mapping.identity(FiniteSet(3)))).flags() == (
         "injective",
         "surjective",
         "bijective",
     )
-    assert classify(m(3, 2, [0, 0, 1])).flags() == ("surjective",)
-    assert classify(m(2, 2, [1, 1])).flags() == ("constant",)
+    assert classify(deviation(m(3, 2, [0, 0, 1]))).flags() == ("surjective",)
+    assert classify(deviation(m(2, 2, [1, 1]))).flags() == ("constant",)
 
 
 def test_empty_mapping_classification():
     # The empty mapping is injective and vacuously constant; it is surjective
     # (hence bijective) only onto the empty codomain.
-    assert classify(m(0, 0, [])).flags() == ("injective", "surjective", "bijective", "constant")
-    assert classify(m(0, 2, [])).flags() == ("injective", "constant")
+    assert classify(deviation(m(0, 0, []))).flags() == ("injective", "surjective", "bijective", "constant")
+    assert classify(deviation(m(0, 2, []))).flags() == ("injective", "constant")
 
 
 # --- orders ---------------------------------------------------------------------

@@ -50,6 +50,7 @@ _IDENTITY_1 = Mapping.identity(FiniteSet(1))
 _IDENTITY_2 = Mapping.identity(FiniteSet(2))
 _PRE_IDENTITY_2 = preimage_map(_IDENTITY_2)
 _CONSTANT_2_1 = _m(2, 1, (0, 0))
+_CONSTANT_2_2 = _m(2, 2, (0, 0))
 _TWO, _THREE = FiniteSet(2), FiniteSet(3)
 # {0, 1}{2}: the kernel of (0, 0, 1).
 _GLUED = Partition(_THREE, (0b011, 0b100))
@@ -67,14 +68,14 @@ ROWS = {
         "0.3", "canonical_factorization", (_GLUING,), canonical_factorization(_m(3, 2, (0, 1, 1))),
         Universe(max_set_size=3), _pair(_GLUING), 27,
     ),
-    # A gluing mapping's kernel read as discrete.
-    "1.3-kernel": (
-        "1.3", "kernel_partition", (_GLUING,), discrete(_THREE),
+    # A gluing mapping's deviation read with a discrete kernel.
+    "1.3-deviation": (
+        "1.3", "deviation", (_GLUING,), Deviation(discrete(_THREE), _TWO, 0),
         Universe(max_set_size=3), _pair(_GLUING, kernel=[[0], [1], [2]]), 27,
     ),
     # The surjective (0, 0, 1) classified as not surjective.
     "0.8-0.10-classify": (
-        "0.8-0.10", "classify", (_GLUING,), Classification(False, False, False, False),
+        "0.8-0.10", "classify", (deviation(_GLUING),), Classification(False, False, False, False),
         Universe(max_set_size=3), _pair(_GLUING, flags=[]), 27,
     ),
     # The least deviation on 2 -> 2 not below that of the constant (0, 0).
@@ -82,6 +83,12 @@ ROWS = {
         "L1.1", "deviation_leq",
         (Deviation(discrete(_TWO), _TWO, 0), Deviation(indiscrete(_TWO), _TWO, 0b10)), False,
         Universe(max_set_size=2), _pair(_IDENTITY_2), 9,
+    ),
+    # The constant (0, 0) on 2 -> 2 reported with the least deviation, which
+    # then no longer marks the bijections alone.
+    "L1.1-deviation": (
+        "L1.1", "deviation", (_CONSTANT_2_2,), Deviation(discrete(_TWO), _TWO, 0),
+        Universe(max_set_size=2), _pair(_CONSTANT_2_2), 8,
     ),
     # {0, 1} <= {0}{1} affirmed, so refinement is not antisymmetric.
     "partition-order-leq": (

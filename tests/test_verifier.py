@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import setdev
-from setdev import abgroup, claims, cli, verifier
+from setdev import abgroup, claims, cli, finset, verifier
 from setdev.abgroup import FinAbGroup, GroupHom, enumerate_groups, enumerate_homs
 from setdev.finset import FiniteSet, Mapping
 from setdev.verifier import (
@@ -303,24 +303,47 @@ def test_shared_sweep_builds_each_fact_once_per_mapping(monkeypatch):
 
         return count
 
-    for name in calls:
-        monkeypatch.setattr(claims, name, counting(name, getattr(claims, name)))
+    # Every kernel the library builds, asked for by a claim or inside
+    # deviation, goes through the one finset.kernel_partition counted here.
+    kernels = counting("finset.kernel_partition", finset.kernel_partition)
+    monkeypatch.setattr(finset, "kernel_partition", kernels)
+    calls["finset.kernel_partition"] = 0
+    for name in maps + facts + ["deviation", "_image_subsets"]:
+        honest = kernels if name == "kernel_partition" else getattr(claims, name)
+        monkeypatch.setattr(claims, name, counting(name, honest))
     universe = Universe(max_set_size=4, max_powerset_base=4)
     # Each fact a claim of the domain reads is built once per mapping: 499
     # mappings between carriers of size at most 4, 60 at the extension cap 3.
-    # The preimage map's kernel is read off its deviation, so
-    # kernel_partition runs on the mapping and its extension alone.
+    # The kernels of the mapping and of its preimage map are read off their
+    # deviations, so claims ask kernel_partition for the extension's alone.
     for domain, ids, built in [
-        (claims.SETS, ["0.3", "0.8-0.10", "1.3"], dict.fromkeys(facts, 1)),
+        (
+            claims.SETS,
+            ["0.3", "0.8-0.10", "1.3"],
+            {**dict.fromkeys(facts, 1), "deviation": 1, "kernel_partition": 0, "finset.kernel_partition": 1},
+        ),
         (
             claims.POWERSETS,
             ["3.18", "L3.1", "L3.2", "3.29-3.30", "L3.3a", "L3.3b", "3.58-3.61"],
-            {**dict.fromkeys(maps, 1), "deviation": 1, "_image_subsets": 1, "kernel_partition": 0},
+            {
+                **dict.fromkeys(maps, 1),
+                "deviation": 1,
+                "_image_subsets": 1,
+                "kernel_partition": 0,
+                "finset.kernel_partition": 1,
+            },
         ),
         (
             claims.EXTENSIONS,
             ["T3.1", "T3.2", "T3.3", "3.44-literal", "3.44-computed", "E-fullness"],
-            {**dict.fromkeys(maps, 0), "preimage_map": 1, "direct_image_map": 1, "deviation": 1, "kernel_partition": 2},
+            {
+                **dict.fromkeys(maps, 0),
+                "preimage_map": 1,
+                "direct_image_map": 1,
+                "deviation": 2,
+                "kernel_partition": 1,
+                "finset.kernel_partition": 3,
+            },
         ),
     ]:
         selected = [c for c in REGISTRY.values() if c.domain is domain]
