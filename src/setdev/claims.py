@@ -14,10 +14,10 @@ here rather than reusing library shortcuts.
 
 The checks of SETS, POWERSETS and EXTENSIONS receive a ``MappingFacts`` per
 mapping, which the claims the engine sweeps together share. Its facts are
-library routes (the deviation, whose kernel it holds, the image and its
-subsets, the subset maps, the kernel of the extension, and kappa and
-deviation of the preimage map) and the direct routes ``inj_direct``,
-``surj_direct`` and ``const_direct``; each is
+library routes (the deviation, whose kernel it holds, the image, its
+subsets and the subsets outside it, the subset maps, the kernel of the
+extension, and kappa and deviation of the preimage map) and the direct
+routes ``inj_direct``, ``surj_direct`` and ``const_direct``; each is
 computed on first read and dropped with the mapping. The partitions they
 are compared with are ``CarrierFacts``, built once per carrier size and
 sweep. No claim reads both sides of a cross-check from one fact.
@@ -162,6 +162,8 @@ class MappingFacts:
     deviation = _Fact(lambda m: deviation(m.f))
     image = _Fact(lambda m: image(m.f))
     image_subsets = _Fact(lambda m: _image_subsets(m.image))
+    # Bitmask over P(cod): the subsets not contained in the image.
+    outside_image = _Fact(lambda m: sum(1 << b for b in range(1 << m.f.cod.size) if b & ~m.image))
     # The direct routes, read off the raw table.
     inj_direct = _Fact(lambda m: _inj_direct(m.f))
     surj_direct = _Fact(lambda m: _surj_direct(m.f))
@@ -186,7 +188,6 @@ EXTENSIONS = Domain("max_powerset_base", MAX_EXTENSION_BASE, _mapping_facts)
 EXTENSION_TRIPLES = Domain("max_powerset_base", MAX_EXTENSION_BASE, size_triples)
 EXTENSION_BOUND = Domain("max_powerset_base", MAX_EXTENSION_BASE)
 HOMS = Domain("max_group_order", MAX_HOM_ORDER, _homs)
-HOM_GROUPS = Domain("max_group_order", MAX_HOM_ORDER, _group_pairs)
 COMPOSITIONS = Domain("max_group_order", MAX_COMPOSITION_ORDER)
 ORACLE_GROUPS = Domain("max_group_order", MAX_ORACLE_ORDER, _group_pairs)
 
@@ -368,28 +369,15 @@ def check_partition_order(n: int):
                 yield {"size": n, "p": p.to_lists(), "q": q.to_lists(), "r": r.to_lists()}
 
 
-@claim("L1.1", SET_SIGNATURES)
-def check_least_deviation(sizes):
-    """A mapping is bijective iff its deviation is (discrete, empty) and
-    lies below the deviation of every mapping with the same signature."""
-    x, y = FiniteSet(sizes[0]), FiniteSet(sizes[1])
-    least = Deviation(discrete(x), y, 0)
-    # Unless the least deviation lies below every other, a mapping fails iff it
-    # is bijective, and otherwise iff it is bijective or at the least but not
-    # both. One pass keeps the deviations and the first failure in each case.
-    devs, at, first_bijective, first_off_least = set(), -1, None, None
-    for at, f in enumerate(enumerate_mappings(x, y)):
-        d = deviation(f)
-        devs.add(d)
-        bij = _inj_direct(f) and _surj_direct(f)
-        if bij and first_bijective is None:
-            first_bijective = at, f
-        if bij != (d == least) and first_off_least is None:
-            first_off_least = at, f
-    failed = first_off_least if all(deviation_leq(least, d) for d in devs) else first_bijective
-    yield at + 1 if failed is None else failed[0]
-    if failed:
-        yield _pair_witness(failed[1])
+@claim("L1.1", SETS)
+def check_least_deviation(m: MappingFacts):
+    """The least deviation of a signature, (discrete, empty), lies below the
+    deviation of each mapping, and a mapping is bijective iff its deviation
+    is the least one."""
+    least = Deviation(m.dom.bottom, m.f.cod, 0)
+    dev = m.deviation
+    ok = deviation_leq(least, dev) and (m.inj_direct and m.surj_direct) == (dev == least)
+    return None if ok else _pair_witness(m.f)
 
 
 @claim("T1.1", TRIPLES)
@@ -500,32 +488,23 @@ def check_devg_oracle(f: GroupHom):
     }
 
 
-@claim("L2.1", HOM_GROUPS)
-def check_group_lemma(pair: tuple[FinAbGroup, FinAbGroup]):
-    """A homomorphism is an isomorphism iff its group deviation is (domain,
-    trivial) and lies below every other; surjective iff the second
-    component is trivial; injective iff the first is the whole domain."""
-    a, b = pair
-    tb = element_table(b)
-    full = (1 << b.order()) - 1
-    homs = list(enumerate_homs(a, b))
-    d1s = [devg1(f) for f in homs]
-    d2s = [devg2(f) for f in homs]
-    least = GroupDeviation(a, TRIVIAL_GROUP)
-    devs = {GroupDeviation(d1, d2) for d1, d2 in zip(d1s, d2s)}
-    least_is_below_all = all(devg_leq(least, d) for d in devs)
-    for f, d1, d2 in zip(homs, d1s, d2s):
-        values = tb.table(f)
-        inj = kernel_mask(values) == 1
-        surj = image_mask(values) == full
-        if surj != d2.is_trivial():
-            yield {"hom": f.to_json_dict(), "case": "surjective"}
-        elif inj != (d1 == a):
-            yield {"hom": f.to_json_dict(), "case": "injective"}
-        elif (inj and surj) != (d1 == a and d2.is_trivial() and least_is_below_all):
-            yield {"hom": f.to_json_dict(), "case": "isomorphism"}
-        else:
-            yield None
+@claim("L2.1", HOMS)
+def check_group_lemma(f: GroupHom):
+    """A homomorphism is surjective iff the second component of its group
+    deviation is trivial, and injective iff the first is the whole domain,
+    so an isomorphism iff its deviation is the least one, (domain, trivial),
+    which lies below the deviation of each homomorphism."""
+    d = GroupDeviation(devg1(f), devg2(f))
+    values = element_table(f.cod).table(f)
+    if (image_mask(values) == (1 << f.cod.order()) - 1) != d.second.is_trivial():
+        case = "surjective"
+    elif (kernel_mask(values) == 1) != (d.first == f.dom):
+        case = "injective"
+    elif not devg_leq(GroupDeviation(f.dom, TRIVIAL_GROUP), d):
+        case = "least"
+    else:
+        return None
+    return {"hom": f.to_json_dict(), "case": case}
 
 
 @claim("T2.1", COMPOSITIONS)
@@ -712,12 +691,6 @@ def check_preimage_deviation_lemma(m: MappingFacts):
     return None if ok else _pair_witness(m.f)
 
 
-def _tilde_missed_expected(f: Mapping) -> int:
-    # Bitmask over P(cod): subsets not contained in the image.
-    img = image(f)
-    return sum(1 << b for b in range(1 << f.cod.size) if b & ~img)
-
-
 def _missed_mask(g: Mapping) -> int:
     hit = 0
     for v in g.table:
@@ -736,7 +709,7 @@ def check_theorem_injective(m: MappingFacts):
         tilde.is_injective(),
         m.pre.is_surjective(),
         m.deviation.part == m.dom.bottom,
-        m.tilde_kernel == m.dom.power_bottom and _missed_mask(tilde) == _tilde_missed_expected(f),
+        m.tilde_kernel == m.dom.power_bottom and _missed_mask(tilde) == m.outside_image,
         m.pre_deviation.missed == 0,
     )
     return None if len(set(items)) == 1 else _pair_witness(f, items=list(items))
@@ -804,7 +777,7 @@ def check_tilde_deviation_computed(m: MappingFacts):
     not contained in the image."""
     # Only the injective mappings are instances.
     if m.inj_direct:
-        ok = _missed_mask(m.tilde) == _tilde_missed_expected(m.f)
+        ok = _missed_mask(m.tilde) == m.outside_image
         yield None if ok else _pair_witness(m.f)
 
 

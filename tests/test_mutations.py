@@ -8,6 +8,7 @@ other, and pins the witness and instance count at which the claim refutes.
 import pytest
 
 from setdev import claims
+from setdev.abgroup import TRIVIAL_GROUP, FinAbGroup, GroupDeviation, GroupHom, devg
 from setdev.chu import ChuMorphism, ex_deviation
 from setdev.finset import (
     Classification,
@@ -59,6 +60,8 @@ _GLUED = Partition(_THREE, (0b011, 0b100))
 # each time to a constant map, so a memo keyed by f alone or by g alone
 # never asks for its kernel or image.
 _COMPOSITE = _m(3, 3, (0, 0, 1))
+# The zero hom from the trivial group into Z/2, whose matrix has one empty row.
+_ZERO_INTO_Z2 = GroupHom(TRIVIAL_GROUP, FinAbGroup((2,)), ((),))
 _POWERSET_2 = Universe(max_powerset_base=2)
 _TRIPLES_3 = Universe(max_triple_size=3)
 
@@ -82,13 +85,25 @@ ROWS = {
     "L1.1-leq": (
         "L1.1", "deviation_leq",
         (Deviation(discrete(_TWO), _TWO, 0), Deviation(indiscrete(_TWO), _TWO, 0b10)), False,
-        Universe(max_set_size=2), _pair(_IDENTITY_2), 9,
+        Universe(max_set_size=2), _pair(_CONSTANT_2_2), 8,
+    ),
+    # The least deviation on 2 -> 1, a signature without a bijection, not
+    # below that of the constant (0, 0).
+    "L1.1-leq-no-bijection": (
+        "L1.1", "deviation_leq",
+        (Deviation(discrete(_TWO), FiniteSet(1), 0), deviation(_CONSTANT_2_1)), False,
+        Universe(max_set_size=2), _pair(_CONSTANT_2_1), 7,
     ),
     # The constant (0, 0) on 2 -> 2 reported with the least deviation, which
     # then no longer marks the bijections alone.
     "L1.1-deviation": (
         "L1.1", "deviation", (_CONSTANT_2_2,), Deviation(discrete(_TWO), _TWO, 0),
         Universe(max_set_size=2), _pair(_CONSTANT_2_2), 8,
+    ),
+    # The least group deviation on trivial -> Z/2 not below that of the zero hom.
+    "L2.1-leq": (
+        "L2.1", "devg_leq", (GroupDeviation(TRIVIAL_GROUP, TRIVIAL_GROUP), devg(_ZERO_INTO_Z2)), False,
+        Universe(max_group_order=2), {"hom": _ZERO_INTO_Z2.to_json_dict(), "case": "least"}, 2,
     ),
     # {0, 1} <= {0}{1} affirmed, so refinement is not antisymmetric.
     "partition-order-leq": (

@@ -319,7 +319,7 @@ def test_shared_sweep_builds_each_fact_once_per_mapping(monkeypatch):
     for domain, ids, built in [
         (
             claims.SETS,
-            ["0.3", "0.8-0.10", "1.3"],
+            ["0.3", "0.8-0.10", "1.3", "L1.1"],
             {**dict.fromkeys(facts, 1), "deviation": 1, "kernel_partition": 0, "finset.kernel_partition": 1},
         ),
         (
@@ -500,9 +500,8 @@ def test_predicate_claims_check_their_whole_domain(universe):
     # One instance per element of the declared domain, at the bound
     # check_claim resolves from the universe and the domain's cap.
     predicates = [c for c in REGISTRY.values() if not _returns_a_sweep(c, universe)]
-    assert {"0.3", "L3.1", "T3.1", "3.44-literal", "E-fullness", "devg-oracle", "embeds-oracle"} <= {
-        c.id for c in predicates
-    }
+    required = {"0.3", "L1.1", "L3.1", "T3.1", "3.44-literal", "E-fullness", "devg-oracle", "L2.1", "embeds-oracle"}
+    assert required <= {c.id for c in predicates}
     for c in predicates:
         report = check_claim(c, universe)
         if report.verdict == VERDICT_VERIFIED:
@@ -564,25 +563,26 @@ def test_every_public_name_is_used_by_the_package():
 
 
 @pytest.mark.parametrize(
-    "order, claim_id, universe, witness",
+    "order, claim_id, universe, witness, instances",
     [
         (
             "devg_leq",
             "L2.1",
             Universe(max_group_order=4),
-            {"hom": {"dom": [2], "cod": [2], "matrix": [[1]]}, "case": "isomorphism"},
+            {"hom": {"dom": [], "cod": [2], "matrix": [[]]}, "case": "least"},
+            2,
         ),
     ],
     ids=["L2.1"],
 )
-def test_least_deviation_claims_consult_the_order(monkeypatch, order, claim_id, universe, witness):
+def test_least_deviation_claims_consult_the_order(monkeypatch, order, claim_id, universe, witness, instances):
     # An order relating each deviation only to itself: the least deviation
-    # no longer lies below the others once a signature has two deviations,
-    # first at the identity on Z/2. L1.1's row is in tests/test_mutations.py.
+    # no longer lies below a deviation other than itself, first at the zero
+    # hom trivial -> Z/2. L1.1's rows are in tests/test_mutations.py.
     monkeypatch.setattr(claims, order, lambda d, e: d == e)
     report = check_claim(claim_id, universe)
     assert report.verdict == VERDICT_REFUTED
-    assert report.witness == witness
+    assert (report.witness, report.instances) == (witness, instances)
 
 
 def _composition_reference(universe):
@@ -819,14 +819,28 @@ def _homs_up_to(order):
 
 
 def test_group_crosscheck_tabulates_each_hom_once(monkeypatch):
-    # Both element-route functions read f's table; the codomain keeps the
-    # last one, so each hom is tabulated once.
-    tabulated = []
-    honest = abgroup.CodedGroup.columns
-    monkeypatch.setattr(abgroup.CodedGroup, "columns", lambda code, f: tabulated.append(f) or honest(code, f))
+    # devg-oracle and L2.1 share the HOMS sweep, which enumerates each hom
+    # once for both. Both element-route functions and L2.1 read f's table;
+    # the codomain keeps the last one, so each hom is tabulated once.
+    yielded, tabulated = [], []
+    honest_homs, honest_columns = claims.enumerate_homs, abgroup.CodedGroup.columns
+
+    def counting_homs(a, b):
+        for f in honest_homs(a, b):
+            yielded.append(f)
+            yield f
+
+    monkeypatch.setattr(claims, "enumerate_homs", counting_homs)
+    monkeypatch.setattr(
+        abgroup.CodedGroup, "columns", lambda code, f: tabulated.append(f) or honest_columns(code, f)
+    )
     abgroup.element_table.cache_clear()
-    assert check_claim("devg-oracle", Universe(max_group_order=8)).verdict == VERDICT_VERIFIED
-    assert tabulated == _homs_up_to(8)
+    universe = Universe(max_group_order=8)
+    selected = [REGISTRY["devg-oracle"], REGISTRY["L2.1"]]
+    with verifier.together(selected, universe):
+        reports = [check_claim(c, universe) for c in selected]
+    assert [(r.verdict, r.instances) for r in reports] == [(VERDICT_VERIFIED, 1128)] * 2
+    assert yielded == tabulated == _homs_up_to(8)
 
 
 def test_normal_form_route_reads_no_element_tables(monkeypatch):
