@@ -73,9 +73,10 @@ def restrict_preimage_to_image(f: Mapping) -> Mapping:
     carrier); the restriction is injective for every f, because taking the
     image is a one-sided inverse on subsets of the image.
     """
+    cod = power_set(f.dom)  # checks the base; the image is no larger
     # The nonempty fibres, in element order, are those of the image.
     fibres = [fibre for fibre in _fibres(f) if fibre]
-    return _mapping(power_set(FiniteSet(len(fibres))), power_set(f.dom), _unions(fibres))
+    return _mapping(_POWER_SETS[len(fibres)], cod, _unions(fibres))
 
 
 def iota(base: FiniteSet) -> Mapping:
@@ -107,6 +108,8 @@ def kappa(pre: Mapping) -> Mapping:
     size, cod_size = pre.dom.size, pre.cod.size
     if size.bit_count() != 1 or cod_size.bit_count() != 1:
         raise ValueError("kappa: not a preimage map, a carrier is no powerset")
+    if size > 1 << MAX_BASE:  # the image of f is no larger than its codomain, this base
+        raise ValueError(f"kappa: powerset over more than {MAX_BASE} elements exceeds the bound")
     singles = [pre.table[1 << y] for y in range(size.bit_length() - 1)]
     covered = 0
     for single in singles:
@@ -124,4 +127,4 @@ def kappa(pre: Mapping) -> Mapping:
     block_of = {v: i for i, v in enumerate(dict.fromkeys(pre.table))}
     # From a list, not a generator: tuples grown by resizing pile up in the free lists.
     table = tuple([block_of[v] for v in _unions(fibres)])
-    return _mapping(power_set(FiniteSet(len(fibres))), FiniteSet(len(block_of)), table)
+    return _mapping(_POWER_SETS[len(fibres)], FiniteSet(len(block_of)), table)

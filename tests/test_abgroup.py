@@ -250,6 +250,12 @@ def test_hom_well_definedness():
         GroupHom.from_json_dict({"dom": [2], "cod": [4], "matrix": [[1]]})
 
 
+def test_then_refuses_a_mismatched_middle_group():
+    z2, z3 = FinAbGroup((2,)), FinAbGroup((3,))
+    with pytest.raises(ValueError, match="matching middle group"):
+        GroupHom(z2, z2, ((1,),)).then(GroupHom(z3, z3, ((1,),)))
+
+
 def test_enumerated_homs_pass_the_checked_constructor():
     # enumerate_homs checks each entry's choices once per pair of groups and
     # stores its matrices without __post_init__, so every one of them must

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from setdev.chu import (
@@ -12,6 +14,7 @@ from setdev.chu import (
     identity_morphism,
     morphism_is_valid,
 )
+from setdev.cli import main
 from setdev.finset import FiniteSet, Mapping
 from setdev.verifier import enumerate_mappings
 
@@ -68,6 +71,14 @@ def test_signature_mismatch_raises():
     ex1, ex2 = e_space(FiniteSet(1)), e_space(FiniteSet(2))
     with pytest.raises(ValueError):
         morphism_is_valid(identity_morphism(ex1), ex1, ex2)
+
+
+def test_chu_command_refuses_a_carrier_past_eight(capsys):
+    # Evaluation spaces over nine points have 512 states; the command does not print them.
+    code = main(["chu", json.dumps({"dom": 9, "cod": 1, "table": [0] * 9})])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert "printable up to carrier size 8" in captured.err and "Traceback" not in captured.err
 
 
 def test_compose_identity_and_associativity():

@@ -144,6 +144,11 @@ def test_kernel_partition_examples():
     assert kernel_partition(m(0, 2, [])).to_lists() == []
 
 
+def test_then_refuses_a_mismatched_middle_carrier():
+    with pytest.raises(ValueError, match="matching middle carrier"):
+        m(1, 2, [0]).then(m(3, 1, [0, 0, 0]))
+
+
 def test_factorization_shapes():
     ident = Mapping.identity(FiniteSet(3))
     fact = canonical_factorization(ident)

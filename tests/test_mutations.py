@@ -9,7 +9,7 @@ import pytest
 
 from setdev import claims
 from setdev.abgroup import TRIVIAL_GROUP, FinAbGroup, GroupDeviation, GroupHom, devg
-from setdev.chu import ChuMorphism, ex_deviation
+from setdev.chu import ChuMorphism, embed, ex_deviation
 from setdev.finset import (
     Classification,
     Deviation,
@@ -62,6 +62,8 @@ _GLUED = Partition(_THREE, (0b011, 0b100))
 _COMPOSITE = _m(3, 3, (0, 0, 1))
 # The zero hom from the trivial group into Z/2, whose matrix has one empty row.
 _ZERO_INTO_Z2 = GroupHom(TRIVIAL_GROUP, FinAbGroup((2,)), ((),))
+# The identity on Z/2, whose table over the element codes is b"\x00\x01".
+_IDENTITY_Z2 = GroupHom(FinAbGroup((2,)), FinAbGroup((2,)), ((1,),))
 _POWERSET_2 = Universe(max_powerset_base=2)
 _TRIPLES_3 = Universe(max_triple_size=3)
 
@@ -105,10 +107,25 @@ ROWS = {
         "L2.1", "devg_leq", (GroupDeviation(TRIVIAL_GROUP, TRIVIAL_GROUP), devg(_ZERO_INTO_Z2)), False,
         Universe(max_group_order=2), {"hom": _ZERO_INTO_Z2.to_json_dict(), "case": "least"}, 2,
     ),
+    # The identity on Z/2 read as reaching 0 alone: no longer surjective.
+    "L2.1-surjective": (
+        "L2.1", "image_mask", (b"\x00\x01",), 1,
+        Universe(max_group_order=2), {"hom": _IDENTITY_Z2.to_json_dict(), "case": "surjective"}, 5,
+    ),
+    # The identity on Z/2 read as killing 1: no longer injective.
+    "L2.1-injective": (
+        "L2.1", "kernel_mask", (b"\x00\x01",), 3,
+        Universe(max_group_order=2), {"hom": _IDENTITY_Z2.to_json_dict(), "case": "injective"}, 5,
+    ),
     # {0, 1} <= {0}{1} affirmed, so refinement is not antisymmetric.
     "partition-order-leq": (
         "partition-order", "partition_leq", (indiscrete(FiniteSet(2)), discrete(FiniteSet(2))), True,
         Universe(max_set_size=3), {"size": 2, "p": [[0, 1]], "q": [[0], [1]]}, 5,
+    ),
+    # {0}{1}{2} <= {0, 1, 2} denied, though {0}{1}{2} <= {0, 1}{2} <= {0, 1, 2}.
+    "partition-order-transitive": (
+        "partition-order", "partition_leq", (discrete(_THREE), indiscrete(_THREE)), False,
+        Universe(max_set_size=3), {"size": 3, "p": [[0], [1], [2]], "q": [[0, 1], [2]], "r": [[0, 1, 2]]}, 10,
     ),
     # The composite's kernel read as discrete, below the kernel of f.
     "T1.1-kernel": (
@@ -204,6 +221,20 @@ ROWS = {
     "E-functoriality-embed": (
         "E-functoriality", "embed", (_CONSTANT_2_1,), ChuMorphism(_CONSTANT_2_1, _m(2, 4, (0, 0))),
         _POWERSET_2, _at([1, 2, 1], [0], [0, 0]), 15,
+    ),
+    # (1) : 1 -> 2 embeds as (0) does, so the embedding is not faithful.
+    "E-faithfulness-embed": (
+        "E-faithfulness", "embed", (_MISSES_0,), embed(_m(1, 2, (0,))),
+        Universe(max_powerset_base=3), {**_pair(_m(1, 2, (0,))), "g": _MISSES_0.to_json_dict()}, 7,
+    ),
+    # The identity on one point composed with itself read with a backward
+    # map that forgets every subset: the first embedded chain breaks.
+    "chu-category-laws-compose": (
+        "chu-category-laws", "compose", (embed(_IDENTITY_1), embed(_IDENTITY_1)),
+        ChuMorphism(_IDENTITY_1, _m(2, 2, (0, 0))),
+        _POWERSET_2,
+        {"case": "embedded-chain", "sizes": [1, 1, 1, 1], **dict.fromkeys("fgh", _IDENTITY_1.to_json_dict())},
+        57,
     ),
     # The evaluation matrix over three points reported as missing a letter.
     "3.11-3.14-ex-deviation": (

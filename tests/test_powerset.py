@@ -27,6 +27,13 @@ def test_power_set_sizes():
 def test_power_set_bound():
     with pytest.raises(ValueError):
         power_set(FiniteSet(13))
+    # The identity on 13 elements and its preimage map, built by hand: the
+    # powerset of the image, the domain of each result, is past the bound.
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        restrict_preimage_to_image(Mapping.identity(FiniteSet(13)))
+    n = 1 << 13
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        kappa(Mapping(FiniteSet(n), FiniteSet(n), tuple(range(n))))
 
 
 @given(st.lists(st.integers(0, 255) | st.integers(256, 4095), max_size=8))

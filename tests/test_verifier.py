@@ -88,6 +88,13 @@ def test_claim_refuses_an_unknown_expected_verdict():
     assert "x" not in REGISTRY
 
 
+def test_claim_refuses_a_duplicate_id():
+    before = dict(REGISTRY)
+    with pytest.raises(AssertionError, match="duplicate claim id 0.3"):
+        claim("0.3", claims.SETS)(lambda m: None)
+    assert REGISTRY == before and REGISTRY["0.3"].check is claims.check_factorization
+
+
 # A domain without elements: its check is called once, with the bound.
 _BOUND_ONLY = verifier.Domain("max_set_size")
 # Signatures (nx, ny) up to max_set_size: 9 of them at SMALL.
@@ -176,6 +183,26 @@ def test_rho_witness_minimal():
         "y_size": 2,
         "f": {"dom": 1, "cod": 2, "table": [0]},
         "g": {"dom": 1, "cod": 2, "table": [1]},
+        "kernel_f": [[0]],
+        "kernel_g": [[0]],
+        "image_f": [0],
+        "image_g": [1],
+    }
+
+
+def test_rho_passes_a_mapping_whose_deviation_matches_the_first_of_its_signature(monkeypatch):
+    # (1) : 1 -> 2 reported with the deviation of the constant (0) is one
+    # passing instance; the next signature with two mappings, (1, 3), then
+    # holds the witness.
+    one, two, three = FiniteSet(1), FiniteSet(2), FiniteSet(3)
+    _lie(monkeypatch, "deviation", (Mapping(one, two, (1,)),), finset.deviation(Mapping(one, two, (0,))))
+    report = check_claim("rho-not-functor", Universe(max_set_size=3))
+    assert (report.verdict, report.instances) == (VERDICT_COUNTEREXAMPLE, 2)
+    assert report.witness == {
+        "x_size": 1,
+        "y_size": 3,
+        "f": Mapping(one, three, (0,)).to_json_dict(),
+        "g": Mapping(one, three, (1,)).to_json_dict(),
         "kernel_f": [[0]],
         "kernel_g": [[0]],
         "image_f": [0],
@@ -319,7 +346,7 @@ def test_shared_sweep_builds_each_fact_once_per_mapping(monkeypatch):
     for domain, ids, built in [
         (
             claims.SETS,
-            ["0.3", "0.8-0.10", "1.3", "L1.1"],
+            ["0.3", "0.8-0.10", "1.3", "L1.1", "rho-not-functor"],
             {**dict.fromkeys(facts, 1), "deviation": 1, "kernel_partition": 0, "finset.kernel_partition": 1},
         ),
         (
