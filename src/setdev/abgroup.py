@@ -43,11 +43,11 @@ isomorphism's deviation sits below every other deviation.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from functools import cached_property, lru_cache
 from itertools import product, zip_longest
 from math import gcd, prod
 from operator import mul
-from typing import Iterator, Sequence
 
 MAX_HOM_ORDER = 16
 MAX_ORACLE_ORDER = 64

@@ -26,9 +26,9 @@ sweep. No claim reads both sides of a cross-check from one fact.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from itertools import count, product, repeat, starmap
-from typing import Callable, Iterable, Iterator
 
 from .abgroup import (
     MAX_HOM_ORDER,

@@ -18,14 +18,14 @@ Values are slotted tuples, so building, comparing and hashing them runs in
 C. Public constructors and literals keep every check, run once in
 ``__new__``, which ``_make`` and ``_replace`` also reach; the library's own
 constructions whose validity follows from valid inputs (enumerated tables,
-composites, factorizations, kernel partitions, subset maps) skip them
-through ``_mapping`` and ``_partition``, which build the tuple alone.
+composites, factorizations, kernel partitions, subset maps) skip them through
+``_finite_set``, ``_mapping`` and ``_partition``, which build the tuple alone.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterator
+from collections.abc import Iterator
 
 
 def _is_int(value: object) -> bool:
@@ -53,6 +53,11 @@ class FiniteSet(namedtuple("FiniteSet", "size")):
         if size < 0:
             raise ValueError(f"size must be non-negative, got {size}")
         return tuple.__new__(cls, (size,))
+
+
+def _finite_set(size: int) -> FiniteSet:
+    """A FiniteSet whose size is a count, so never negative, without its check."""
+    return tuple.__new__(FiniteSet, (size,))
 
 
 class Partition(namedtuple("Partition", "base blocks")):
@@ -259,8 +264,8 @@ def canonical_factorization(f: Mapping) -> Factorization:
     img = tuple(sorted(block_of))
     positions = {y: j for j, y in enumerate(img)}
 
-    quotient = FiniteSet(len(block_of))
-    img_set = FiniteSet(len(img))
+    quotient = _finite_set(len(block_of))
+    img_set = _finite_set(len(img))
 
     proj = _mapping(f.dom, quotient, tuple([block_of[y] for y in f.table]))
     mid = _mapping(quotient, img_set, tuple([positions[y] for y in block_of]))

@@ -10,7 +10,7 @@ their tables.
 
 from __future__ import annotations
 
-from .finset import FiniteSet, Mapping, _mapping, discrete
+from .finset import FiniteSet, Mapping, _finite_set, _mapping, discrete
 
 # A table over P(X) has 2**|X| entries; 4096 keeps every sweep tractable.
 MAX_BASE = 12
@@ -127,4 +127,4 @@ def kappa(pre: Mapping) -> Mapping:
     block_of = {v: i for i, v in enumerate(dict.fromkeys(pre.table))}
     # From a list, not a generator: tuples grown by resizing pile up in the free lists.
     table = tuple([block_of[v] for v in _unions(fibres)])
-    return _mapping(_POWER_SETS[len(fibres)], FiniteSet(len(block_of)), table)
+    return _mapping(_POWER_SETS[len(fibres)], _finite_set(len(block_of)), table)

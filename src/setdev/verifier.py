@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import json
 import time
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import product
 from types import GeneratorType
-from typing import Callable, Iterable, Iterator
 
-from .finset import FiniteSet, Mapping, _mapping
+from .finset import FiniteSet, Mapping, _is_int, _mapping
 from .powerset import MAX_BASE
 
 VERDICT_VERIFIED = "verified"
@@ -56,57 +56,59 @@ MACHINE_SCHEMA = 1
 MAX_TRIPLE_SIZE = 5  # T1.1 tags inner mappings by kernel in a byte: Bell(5) = 52 fit, Bell(6) = 203 not
 
 
-@dataclass(frozen=True)
-class Universe:
-    """Bounds for the exhaustive sweeps."""
+class Universe(namedtuple("Universe", "max_set_size max_triple_size max_group_order max_powerset_base")):
+    """Bounds for the exhaustive sweeps, checked once in ``__new__``."""
 
-    max_set_size: int = 4
-    max_triple_size: int = 3
-    max_group_order: int = 12
-    max_powerset_base: int = 4
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        for name in ("max_set_size", "max_triple_size", "max_group_order", "max_powerset_base"):
-            if getattr(self, name) < 0:
+    def __new__(
+        cls, max_set_size: int = 4, max_triple_size: int = 3, max_group_order: int = 12, max_powerset_base: int = 4
+    ) -> Universe:
+        universe = tuple.__new__(cls, (max_set_size, max_triple_size, max_group_order, max_powerset_base))
+        for name, bound in zip(cls._fields, universe):
+            if not _is_int(bound):
+                raise ValueError(f"{name} must be an int, got {bound!r}")
+            if bound < 0:
                 raise ValueError(f"{name} must be non-negative")
         for name, cap in (("max_triple_size", MAX_TRIPLE_SIZE), ("max_powerset_base", MAX_BASE)):
-            if getattr(self, name) > cap:
+            if getattr(universe, name) > cap:
                 raise ValueError(f"{name} is capped at {cap}")
+        return universe
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(namedtuple("Domain", "bounded_by cap elements", defaults=(None, None))):
     """What a claim sweeps: the Universe field bounding it, lowered to cap
     when one is given, and the elements its check is called with, if any."""
 
-    bounded_by: str
-    cap: int | None = None
-    elements: Callable[[int], Iterable] | None = None
+    __slots__ = ()
 
     def bound(self, universe: Universe) -> int:
         n = getattr(universe, self.bounded_by)
         return n if self.cap is None else min(n, self.cap)
 
 
-@dataclass(frozen=True)
-class Claim:
-    """One law: the check stating it, the domain it sweeps and its expected verdict."""
+class Claim(namedtuple("Claim", "id domain expected check")):
+    """One law: the check stating it, the domain it sweeps and its expected
+    verdict. Equality, hash and repr leave the check out."""
 
-    id: str
-    domain: Domain
-    expected: str
-    # Called with each element, or the bound: returns an item or a generator of items.
-    check: Callable = field(compare=False, repr=False)
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Claim and self[:3] == other[:3]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
+
+    def __repr__(self) -> str:
+        return f"Claim(id={self.id!r}, domain={self.domain!r}, expected={self.expected!r})"
 
 
-@dataclass(frozen=True)
-class Report:
-    claim_id: str
-    verdict: str
-    expected: str
-    witness: object
-    instances: int
-    elapsed_ms: float
+class Report(namedtuple("Report", "claim_id verdict expected witness instances elapsed_ms")):
+    __slots__ = ()
 
     def ok(self) -> bool:
         return self.verdict == self.expected

@@ -1,8 +1,8 @@
-"""Value semantics of the library's immutable classes.
+"""Value semantics of the library's and the claim engine's immutable classes.
 
 Each is a slotted tuple: equal fields give equal values with equal hashes,
 no attribute can be assigned, a checked constructor runs its checks once
-(and again when a value is unpickled, copied or replaced), and the
+(and again when a value is unpickled, copied, replaced or remade), and the
 unchecked builders give the same values as the checked constructors.
 """
 
@@ -20,9 +20,11 @@ from setdev.finset import (
     FiniteSet,
     Mapping,
     Partition,
+    _finite_set,
     _mapping,
     _partition,
 )
+from setdev.verifier import Claim, Domain, Report, Universe
 
 _ONE, _TWO, _THREE = FiniteSet(1), FiniteSet(2), FiniteSet(3)
 _F = Mapping(_THREE, _TWO, (0, 0, 1))
@@ -42,6 +44,9 @@ VALUES = {
     GroupDeviation: ((_Z2, _Z4), None),
     ChuSpace: ((_ONE, _TWO, _TWO, ((0, 1),)), (_ONE, _TWO, _TWO, ((0, 2),))),
     ChuMorphism: ((_F, _F), None),
+    Universe: ((4, 3, 12, 4), (-1, 3, 12, 4)),
+    Domain: (("max_set_size", 3, range), None),
+    Report: (("0.3", "verified", "verified", None, 27, 1.5), None),
 }
 _IDS = [cls.__name__ for cls in VALUES]
 
@@ -68,7 +73,13 @@ def test_values_refuse_attribute_assignment(cls):
 def test_pickle_copy_and_replace_rerun_the_checks(cls):
     fields, bad = VALUES[cls]
     value = cls(*fields)
-    round_trips = [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy, lambda v: v._replace()]
+    round_trips = [
+        lambda v: pickle.loads(pickle.dumps(v)),
+        copy.copy,
+        copy.deepcopy,
+        lambda v: v._replace(),
+        lambda v: cls._make(v),
+    ]
     for round_trip in round_trips:
         again = round_trip(value)
         assert again == value and type(again) is cls
@@ -83,7 +94,9 @@ def test_pickle_copy_and_replace_rerun_the_checks(cls):
 
 
 @pytest.mark.parametrize(
-    "cls, build", [(Mapping, _mapping), (Partition, _partition), (GroupHom, _hom)], ids=["_mapping", "_partition", "_hom"]
+    "cls, build",
+    [(FiniteSet, _finite_set), (Mapping, _mapping), (Partition, _partition), (GroupHom, _hom)],
+    ids=["_finite_set", "_mapping", "_partition", "_hom"],
 )
 def test_unchecked_builders_build_the_checked_values(cls, build):
     fields, _ = VALUES[cls]
@@ -113,3 +126,15 @@ def test_post_init_hook_runs_once_per_checked_construction(monkeypatch, cls, bui
     # The hook holds the checks: without it a bad value passes.
     monkeypatch.setattr(cls, "__post_init__", lambda self: None)
     assert tuple(cls(*bad)) == bad
+
+
+def test_claims_compare_without_their_checks():
+    domain = Domain("max_set_size")
+    a, b = Claim("c", domain, "verified", lambda x: None), Claim("c", domain, "verified", lambda x: 1)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == f"Claim(id='c', domain={domain!r}, expected='verified')"
+    for other in (a._replace(id="d"), a._replace(domain=Domain("max_powerset_base")), a._replace(expected="skipped")):
+        assert a != other and not a == other
+    assert a != tuple(a)
+    with pytest.raises(AttributeError):
+        a.check = None

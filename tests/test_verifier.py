@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import random
+import subprocess
 import sys
 from itertools import product
 from math import gcd, prod
@@ -66,6 +67,24 @@ def test_universe_validation():
     assert Universe(max_triple_size=5).max_triple_size == verifier.MAX_TRIPLE_SIZE == 5
     with pytest.raises(ValueError, match="max_triple_size is capped at 5"):
         Universe(max_triple_size=6)
+    # A bound is exactly an int, the rule for mapping and hom literals; else
+    # 2.0 would fail only inside a claim, and True would pass as a bound of 1.
+    wrong_types = [("max_set_size", 2.0), ("max_powerset_base", True), ("max_group_order", "12"), ("max_triple_size", None)]
+    for name, bound in wrong_types:
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+            Universe(**{name: bound})
+
+
+def test_import_loads_neither_dataclasses_nor_typing():
+    # python -S: site preloads nothing, so every module listed was imported by setdev.
+    src = str(Path(setdev.__file__).resolve().parents[1])
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); import setdev.cli; from setdev import verifier; verifier.registry(); "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    run = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def test_registry_ids_unique_and_expected_verdicts_populated():
