@@ -10,8 +10,9 @@ row-wise, subject to the well-definedness condition b_i | a_j * M[i][j].
 Groups and homomorphisms are slotted tuples. ``GroupHom(...)`` checks both
 conditions once, in its ``__post_init__`` hook, except for the homs ``_hom``
 builds as a bare tuple: those of ``enumerate_homs``, which checks each
-entry's range of choices once per pair of groups, and rebuilds of
-enumerated homs.
+entry's range of choices once per pair of groups, rebuilds of enumerated
+homs, and the composites of ``GroupHom.then``, reduced mod each codomain
+factor and well-defined since both factors are.
 
 The deviation of a homomorphism f : X -> Y is the pair of abstract groups
 (X / ker f, Y / f(X)). Two independent routes compute it:
@@ -191,7 +192,7 @@ class GroupHom(namedtuple("GroupHom", "dom cod matrix")):
         columns = list(zip(*self.matrix)) or [()] * len(self.dom.factors)
         rows = zip(other.matrix, other.cod.factors)
         matrix = tuple([tuple([sum(map(mul, row, col)) % b for col in columns]) for row, b in rows])
-        return GroupHom(self.dom, other.cod, matrix)
+        return _hom(self.dom, other.cod, matrix)  # reduced, and well-defined as its factors are
 
 
 def _hom(dom: FinAbGroup, cod: FinAbGroup, matrix: tuple[tuple[int, ...], ...]) -> GroupHom:

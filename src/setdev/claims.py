@@ -26,6 +26,7 @@ sweep. No claim reads both sides of a cross-check from one fact.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from itertools import count, product, repeat, starmap
@@ -511,76 +512,61 @@ def check_group_composition(bound: int):
     component of the outer map embeds in that of the composite."""
     # A pair (f, g) passes or fails by the generator images of f.then(g),
     # which are g's table read at f's columns, by devg1(f) and by devg2(g).
-    # So f : a -> b is a word of _pair_sweep, its column codes tagged by its
-    # interned devg1, and g : b -> c a row whose passed keys are kept per
-    # (a, c, devg2(g)). Each distinct composite is built once per (a, c).
+    # So f : a -> b is a word of _pair_sweep, its column codes tagged by
+    # devg1(f), and g : b -> c a row whose passed keys are kept per (a, c,
+    # devg2(g)). Each distinct composite is built once per (a, c).
     groups = enumerate_groups(bound)
     if any(x.order() > 128 for x in groups):
         raise ValueError("element codes must fit below 128 to be told from tags")
-    interned = list(groups)
-    index = {x: i for i, x in enumerate(interned)}
-    embeds = [[embeds_in(x, y) for y in interned] for x in interned]
-
-    def intern(x: FinAbGroup) -> int:
-        # Only a wrong devg1 or devg2 can return a group outside the sweep;
-        # it joins the table so that embeds_in still judges it.
-        if x not in index:
-            index[x] = len(interned)
-            interned.append(x)
-            for row, y in zip(embeds, interned):
-                row.append(embeds_in(y, x))
-            embeds.append([embeds_in(x, y) for y in interned])
-        return index[x]
-
-    coded = [element_table(x) for x in groups]
+    coded, tags = [element_table(x) for x in groups], {}  # tags: devg1(f) -> its tag
     # For the homs out of b, by codomain c, then in order: tables[b] holds
-    # their tables over b's codes, words[b] joins their words, of width
-    # widths[b] and with the column codes read off the tables, those into c
-    # from starts[b][c] on, and slots[b] holds the index of their (c,
-    # interned devg2) in pairs, by which the keys that passed are kept.
-    words, widths, index_of = [b""] * len(groups), [0] * len(groups), {}
-    tables, slots, starts = ([[] for _ in groups] for _ in range(3))
+    # their tables over b's codes, keys[b] their (c, devg2), by which the
+    # keys that passed are kept, one shared tuple per distinct pair, and
+    # words[b] joins their words, of width widths[b] and with the column
+    # codes read off the tables, those into c from starts[b][c] on.
+    words, widths, shared = [b""] * len(groups), [0] * len(groups), {}
+    tables, keys, starts = ([[] for _ in groups] for _ in range(3))
     for b, x in enumerate(groups):
-        tags, starts[b] = [], [0]
+        tagged, starts[b] = [], [0]
         for c, y in enumerate(groups):
             homs = list(enumerate_homs(x, y))
             tables[b] += [coded[c].table(f) for f in homs]
-            tags += [intern(devg1(f)) for f in homs]
-            if max(tags) >= 128:
+            tagged += [tags.setdefault(devg1(f), len(tags)) for f in homs]
+            if len(tags) > 128:
                 raise ValueError("too many distinct first deviations to tag in a byte")
-            slots[b] += [index_of.setdefault((c, intern(devg2(f))), len(index_of)) for f in homs]
-            starts[b].append(len(tags))
+            keys[b] += [shared.setdefault(key, key) for key in zip(repeat(c), map(devg2, homs))]
+            starts[b].append(len(tagged))
         columns = [bytes(map(t.__getitem__, coded[b].strides)) for t in tables[b]]
-        words[b], widths[b] = _words(columns, tags, len(x.factors))
-    pairs = list(index_of)
+        words[b], widths[b] = _words(columns, tagged, len(x.factors))
+    firsts = list(tags)
 
     def factor(b: int, k: int) -> GroupHom:
         # The k-th hom out of b, rebuilt from its word with no check repeated.
-        c, at = pairs[slots[b][k]][0], k * widths[b]
+        c, at = keys[b][k][0], k * widths[b]
         return _hom(groups[b], groups[c], coded[c]._matrix(words[b][at : at + len(groups[b].factors)]))
 
     def judge(a: int, b: int, composites: list, k: int, i: int, word: bytes) -> str | None:
-        # composites[c][images]: interned devg1, devg2 of the composite a -> c.
-        (c, d2g), images = pairs[slots[b][k]], word[: len(groups[a].factors)]
+        # composites[c][images]: devg1, devg2 of the composite a -> c.
+        (c, d2g), images = keys[b][k], word[: len(groups[a].factors)]
         if images not in composites[c]:
             h = factor(a, starts[a][b] + i).then(factor(b, k))
             if coded[c].columns(h) != images:
                 raise AssertionError("composite disagrees with its generator images")
-            composites[c][images] = intern(devg1(h)), intern(devg2(h))
+            composites[c][images] = devg1(h), devg2(h)
         d1h, d2h = composites[c][images]
-        if not embeds[d1h][word[-1] - 128]:
+        if not embeds_in(d1h, firsts[word[-1] - 128]):
             return "first"
-        return None if embeds[d2g][d2h] else "second"
+        return None if embeds_in(d2g, d2h) else "second"
 
     def witness(a: int, b: int, k: int, i: int, case: str) -> dict:
         return {"f": factor(a, starts[a][b] + i).to_json_dict(), "g": factor(b, k).to_json_dict(), "case": case}
 
     for a, width in enumerate(widths):
-        composites, passed = [{} for _ in groups], [set() for _ in pairs]
+        composites, passed = [{} for _ in groups], defaultdict(set)
         for b in range(len(groups)):
             # The words of the homs a -> b; a row's context is g's index among those out of b.
             fs = words[a][starts[a][b] * width : starts[a][b + 1] * width]
-            rows = zip(count(), tables[b], map(passed.__getitem__, slots[b]))
+            rows = zip(count(), tables[b], map(passed.__getitem__, keys[b]))
             yield from _pair_sweep(fs, width, rows, partial(judge, a, b, composites), partial(witness, a, b))
 
 

@@ -74,6 +74,22 @@ def test_non_integer_literal_is_usage_error(capsys, argv):
     assert "integer" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("dev", '{"dom":2,"cod":2,"table":[0,1],"x":1}'), 'mapping literal needs exactly the keys "dom", "cod", "table"'),
+        (("group", '{"dom":[2],"cod":[2],"matrix":[[1]],"x":1}'), 'hom literal needs exactly the keys "dom", "cod", "matrix"'),
+    ],
+    ids=["mapping", "hom"],
+)
+def test_literal_with_an_extra_key_is_usage_error(capsys, argv, message):
+    # Every key is read by name, so only the keys guard can refuse one more.
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_dev_parse_error_reports_position(capsys):
     code, _, err = run(capsys, "dev", '{"dom": 2, "cod": 2, "table": [0, }')
     assert code == 2

@@ -3,7 +3,11 @@
 Each row replaces a name in ``setdev.claims``' namespace by a version that
 gives a wrong answer for one argument tuple and the honest answer for every
 other, and pins the witness and instance count at which the claim refutes.
+Every registered claim has a row, or an entry in ``ELSEWHERE`` naming the
+test that covers it instead.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +26,7 @@ from setdev.finset import (
     indiscrete,
 )
 from setdev.powerset import preimage_map
-from setdev.verifier import VERDICT_REFUTED, Universe, check_claim, enumerate_mappings, size_triples
+from setdev.verifier import VERDICT_REFUTED, Universe, check_claim, enumerate_mappings, registry, size_triples
 
 
 def _m(nx, ny, table):
@@ -216,6 +220,16 @@ ROWS = {
         "3.44-literal", "image", (_IDENTITY_1,), 0,
         _POWERSET_2, _pair(_IDENTITY_1, missed_computed=[], missed_claimed=[[0]]), 4,
     ),
+    # The injective (1) : 1 -> 2 reported as reaching both elements: no
+    # subset is then outside its image, but its extension misses {0} and {0, 1}.
+    "3.44-computed-image": (
+        "3.44-computed", "image", (_MISSES_0,), 0b11, _POWERSET_2, _pair(_MISSES_0), 6,
+    ),
+    # (1) : 1 -> 2 given a backward map that forgets every subset, so the
+    # morphism it forces is not the embedded one.
+    "E-fullness-forced-backward": (
+        "E-fullness", "forced_backward", (_MISSES_0,), _m(4, 2, (0, 0, 0, 0)), _POWERSET_2, _pair(_MISSES_0), 6,
+    ),
     # The constant 2 -> 1 embeds with a backward map that forgets every
     # subset; first met as the outer map g.
     "E-functoriality-embed": (
@@ -242,6 +256,34 @@ ROWS = {
         Universe(max_powerset_base=3), {"size": 3}, 2,
     ),
 }
+
+
+# The registered claims without a row, each with the test that plants its
+# faults or pins its witness instead.
+ELSEWHERE = {
+    # Cross-checks with a lie per route, and T2.1 with lies inside and
+    # outside the sweep's groups, pinned by a plain reference loop.
+    "devg-oracle": "test_verifier.py::test_group_crosscheck_refutes_when_one_route_lies",
+    "embeds-oracle": "test_verifier.py::test_embedding_crosscheck_refutes_when_one_route_lies",
+    "T2.1": "test_verifier.py::test_group_composition_refutes_a_wrong_deviation",
+    # Existential claims: a row asserts refuted-as-stated, which they never report.
+    "T1.2-counterexample": "test_verifier.py::test_dev2_incomparability_minimal_witness",
+    "rho-not-functor": "test_verifier.py::test_rho_passes_a_mapping_whose_deviation_matches_the_first_of_its_signature",
+    "T2.1-counterexample": "test_acceptance.py::test_group_deviations_and_composition",
+    # It refutes on carrier sizes alone and composes nothing, so it calls
+    # no library name to lie about; the golden records pin its witness.
+    "3.5-composition-order": "test_verifier.py::test_machine_records_golden",
+}
+
+
+def test_every_claim_has_a_planted_fault():
+    # A new claim fails here until it has a row or an entry in ELSEWHERE.
+    with_rows = {row[0] for row in ROWS.values()}
+    assert with_rows.isdisjoint(ELSEWHERE)
+    assert with_rows | ELSEWHERE.keys() == registry().keys()
+    for where in ELSEWHERE.values():
+        module, test = where.split("::")
+        assert f"\ndef {test}(" in Path(__file__).with_name(module).read_text()
 
 
 def _lie(monkeypatch, name, lied_about, answer):
